@@ -16,7 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .derivation import ProbTerm, RuleSet, StateExpr, generate_terms, numeric_probabilities, saturate
+from .derivation import (
+    ProbTerm,
+    RuleSet,
+    StateExpr,
+    TermSet,
+    generate_terms,
+    numeric_probabilities,
+    saturate,
+)
 from .envariance import ENVAR_TOL, check_envariance, oracle_best_counter, phase_transform, swap_transform
 from .errors import EnvarkitError, IncompleteDerivation, ParseError
 from .finegrain import RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
@@ -103,8 +111,8 @@ def _rules_from_args(disabled: list[str]) -> RuleSet:
     return rules
 
 
-def _derivation_report(state, swaps, rules: RuleSet) -> dict:
-    term_set = generate_terms(state, swaps)
+def _derivation_report(term_set: TermSet, rules: RuleSet) -> dict:
+    state = term_set.base_state
     store = saturate(term_set, rules)
     report = {
         "classes": [[str(t) for t in cls] for cls in store.classes()],
@@ -128,14 +136,15 @@ def _cmd_derive(args) -> tuple[dict, int]:
     rank = schmidt(state).rank
     swaps = _parse_swaps(args.swaps) if args.swaps else [(k, k + 1) for k in range(1, rank)]
     rules = _rules_from_args(args.disable or [])
-    report = _derivation_report(state, swaps, rules)
+    term_set = generate_terms(state, swaps)
+    report = _derivation_report(term_set, rules)
     if args.ablate:
         ablations = []
         left = ProbTerm("S", 1, StateExpr())
         right = ProbTerm("S", min(2, rank), StateExpr())
         for name in ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION"):
             sub_rules = rules.without(name)
-            sub_store = saturate(generate_terms(state, swaps), sub_rules)
+            sub_store = saturate(term_set, sub_rules)
             ablations.append(
                 {"disabled": name, "s1_equals_s2": sub_store.same_class(left, right)}
             )
@@ -198,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Envariance checks, probability-equality derivations, "
         "rational Born weights and frame-function audits.",
     )
-    default_seed = int(os.environ.get("ENVARKIT_SEED", "0"))
+    env_seed = os.environ.get("ENVARKIT_SEED", "0")
+    try:
+        default_seed = int(env_seed)
+    except ValueError as exc:
+        raise ParseError(f"ENVARKIT_SEED must be an integer, got {env_seed!r}") from exc
     parser.add_argument("--seed", type=int, default=default_seed)
     parser.add_argument("--tol", type=float, default=None, help="override the module tolerance")
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -239,8 +252,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, code = _COMMANDS[args.command](args)
     except (EnvarkitError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .envariance import phase_transform, swap_transform
 from .errors import (
     IncompleteDerivation,
     IndexOutOfRange,
+    ParseError,
     UnevenCoefficients,
     UnknownTerm,
 )
@@ -117,7 +118,7 @@ class ProbTerm:
 
     def __post_init__(self) -> None:
         if self.subsystem not in ("S", "E"):
-            raise ValueError(f"subsystem must be 'S' or 'E', got {self.subsystem!r}")
+            raise ParseError(f"subsystem must be 'S' or 'E', got {self.subsystem!r}")
 
     def __str__(self) -> str:
         return f"p({self.subsystem}:{self.index}; {self.state})"
@@ -136,7 +137,7 @@ class RuleSet:
     def without(self, name: str) -> "RuleSet":
         field = name.lower()
         if field.upper() not in RULE_NAMES:
-            raise ValueError(f"unknown rule {name!r}; expected one of {RULE_NAMES}")
+            raise ParseError(f"unknown rule {name!r}; expected one of {RULE_NAMES}")
         return replace(self, **{field: False})
 
     def enabled(self) -> tuple[str, ...]:
@@ -231,7 +232,7 @@ def generate_terms(state: BipartiteState, swaps) -> TermSet:
     exprs: list[StateExpr] = [StateExpr()]
     for i, j in swaps:
         if i == j:
-            raise ValueError("swap indices must differ")
+            raise IndexOutOfRange("swap indices must differ")
         for idx in (i, j):
             if not 1 <= idx <= r:
                 raise IndexOutOfRange(f"swap index {idx} outside 1..{r}")
@@ -261,63 +262,76 @@ class MergeRecord:
     right: ProbTerm
 
 
+def _root(parent: list[int], node: int) -> int:
+    """Root of ``node`` in a union-find parent list, compressing the path."""
+    root = node
+    while parent[root] != root:
+        root = parent[root]
+    while parent[node] != root:
+        node, parent[node] = parent[node], root
+    return root
+
+
 class EqualityStore:
     """Union-find over probability terms recording every effective merge.
 
     Classes only ever grow; the trace lists exactly the merges that changed
     the partition, so replaying it reproduces the partition and the merge
-    graph is a forest (paths between terms are unique).
+    graph is a forest (paths between terms are unique).  Terms are interned
+    as ids in insertion order and every class is rooted at its smallest id,
+    the term added earliest.
     """
 
     def __init__(self, terms=()) -> None:
-        self._parent: dict[ProbTerm, ProbTerm] = {}
-        self._order: dict[ProbTerm, int] = {}
+        self._ids: dict[ProbTerm, int] = {}
+        self._terms: list[ProbTerm] = []
+        self._parent: list[int] = []
         self.trace: list[MergeRecord] = []
         for term in terms:
             self.add(term)
 
     def add(self, term: ProbTerm) -> None:
-        if term not in self._parent:
-            self._parent[term] = term
-            self._order[term] = len(self._order)
+        if term not in self._ids:
+            self._ids[term] = len(self._terms)
+            self._terms.append(term)
+            self._parent.append(len(self._parent))
 
-    def _require(self, term: ProbTerm) -> None:
-        if term not in self._parent:
-            raise UnknownTerm(str(term))
+    def _id(self, term: ProbTerm) -> int:
+        try:
+            return self._ids[term]
+        except KeyError:
+            raise UnknownTerm(str(term)) from None
+
+    def _union(self, rule: str, left: int, right: int) -> bool:
+        ra, rb = _root(self._parent, left), _root(self._parent, right)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self.trace.append(MergeRecord(rule, self._terms[left], self._terms[right]))
+        return True
 
     def find(self, term: ProbTerm) -> ProbTerm:
-        self._require(term)
-        root = term
-        while self._parent[root] is not root:
-            root = self._parent[root]
-        while self._parent[term] is not root:
-            term, self._parent[term] = self._parent[term], root
-        return root
+        return self._terms[_root(self._parent, self._id(term))]
 
     def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> bool:
         """Union the two classes; record and report whether anything changed."""
-        ra, rb = self.find(left), self.find(right)
-        if ra is rb:
-            return False
-        if self._order[rb] < self._order[ra]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self.trace.append(MergeRecord(rule, left, right))
-        return True
+        return self._union(rule, self._id(left), self._id(right))
 
     def same_class(self, left: ProbTerm, right: ProbTerm) -> bool:
-        return self.find(left) is self.find(right)
+        return _root(self._parent, self._id(left)) == _root(self._parent, self._id(right))
 
     def classes(self) -> list[list[ProbTerm]]:
-        grouped: dict[ProbTerm, list[ProbTerm]] = {}
-        for term in self._order:
-            grouped.setdefault(self.find(term), []).append(term)
+        grouped: dict[int, list[ProbTerm]] = {}
+        for node, term in enumerate(self._terms):
+            grouped.setdefault(_root(self._parent, node), []).append(term)
         return list(grouped.values())
 
     def minimal_trace(self, left: ProbTerm, right: ProbTerm) -> list[MergeRecord]:
         """Shortest chain of recorded merges connecting two equal terms."""
-        self._require(left)
-        self._require(right)
+        self._id(left)
+        self._id(right)
         if left == right:
             return []
         adjacency: dict[ProbTerm, list[tuple[MergeRecord, ProbTerm]]] = {}
@@ -366,65 +380,62 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     """Apply every enabled merging rule to fixpoint over the term set.
 
     Each rule's applicability depends only on the replayed states, never on
-    the current partition, so a single deterministic sweep saturates.
+    the current partition, so a single deterministic sweep saturates.  Rules
+    merge through a ``(sub, k, expr position) -> id`` table; a state-function
+    pair whose exprs are already linked through earlier pairs is skipped,
+    since all its terms already share classes.
     """
     store = EqualityStore(term_set.terms)
     dec = term_set.decomposition
-    cache = {
-        expr: replay(expr, term_set.base_state, dec).amps for expr in term_set.exprs
-    }
-    expr_index = set(term_set.exprs)
+    exprs = term_set.exprs
+    cache = [replay(expr, term_set.base_state, dec).amps for expr in exprs]
+    position: dict[StateExpr, int] = {}
+    for pos, expr in enumerate(exprs):
+        position.setdefault(expr, pos)
+    ids = [
+        {sub: [store._id(ProbTerm(sub, k, expr)) for k in term_set.branches] for sub in ("S", "E")}
+        for expr in exprs
+    ]
+    union = store._union
 
     if rules.pairing:
-        for expr in term_set.exprs:
-            frame = _schmidt_frame(cache[expr], dec)
-            for k in term_set.branches:
-                row = frame[k - 1]
-                partner = int(np.argmax(np.abs(row)))
-                off = np.sqrt(max(float(np.sum(np.abs(row) ** 2) - np.abs(row[partner]) ** 2), 0.0))
-                if off <= _PAIR_TOL:
-                    store.merge(
-                        "PAIRING",
-                        ProbTerm("S", k, expr),
-                        ProbTerm("E", partner + 1, expr),
-                    )
+        rows = np.arange(dec.rank)
+        for pos, amps in enumerate(cache):
+            mags = np.abs(_schmidt_frame(amps, dec))
+            partners = np.argmax(mags, axis=1)
+            # each peak is squared by Python's float pow, which can round
+            # differently from the array square; this keeps the result bit-equal
+            # to the row-by-row test in tests/test_engine_reference.py
+            peaks = np.array([m**2 for m in mags[rows, partners].tolist()])
+            off = np.sqrt(np.maximum(np.sum(mags**2, axis=1) - peaks, 0.0))
+            for k in np.flatnonzero(off <= _PAIR_TOL):
+                union("PAIRING", ids[pos]["S"][k], ids[pos]["E"][partners[k]])
 
-    if rules.env_locality:
-        for expr in term_set.exprs:
-            if expr.transforms and isinstance(expr.transforms[-1], _SYSTEM_SIDE):
-                parent = expr.parent()
-                if parent in expr_index:
-                    for k in term_set.branches:
-                        store.merge(
-                            "ENV_LOCALITY",
-                            ProbTerm("E", k, expr),
-                            ProbTerm("E", k, parent),
-                        )
-
-    if rules.sys_locality:
-        for expr in term_set.exprs:
-            if expr.transforms and isinstance(expr.transforms[-1], _ENV_SIDE):
-                parent = expr.parent()
-                if parent in expr_index:
-                    for k in term_set.branches:
-                        store.merge(
-                            "SYS_LOCALITY",
-                            ProbTerm("S", k, expr),
-                            ProbTerm("S", k, parent),
-                        )
+    for rule, enabled, side, sub in (
+        ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, "E"),
+        ("SYS_LOCALITY", rules.sys_locality, _ENV_SIDE, "S"),
+    ):
+        if not enabled:
+            continue
+        for pos, expr in enumerate(exprs):
+            if expr.transforms and isinstance(expr.transforms[-1], side):
+                parent = position.get(expr.parent())
+                if parent is not None:
+                    for child_id, parent_id in zip(ids[pos][sub], ids[parent][sub]):
+                        union(rule, child_id, parent_id)
 
     if rules.state_function:
-        exprs = term_set.exprs
+        link = list(range(len(exprs)))
         for i in range(len(exprs)):
             for j in range(i + 1, len(exprs)):
-                if float(np.linalg.norm(cache[exprs[i]] - cache[exprs[j]])) <= STATE_EQ_TOL:
+                root_i, root_j = _root(link, i), _root(link, j)
+                if root_i == root_j:
+                    continue  # every (sub, k) pair of terms already shares a class
+                if float(np.linalg.norm(cache[i] - cache[j])) <= STATE_EQ_TOL:
                     for sub in ("S", "E"):
-                        for k in term_set.branches:
-                            store.merge(
-                                "STATE_FUNCTION",
-                                ProbTerm(sub, k, exprs[j]),
-                                ProbTerm(sub, k, exprs[i]),
-                            )
+                        for left, right in zip(ids[j][sub], ids[i][sub]):
+                            union("STATE_FUNCTION", left, right)
+                    link[root_j] = root_i
 
     return store
 

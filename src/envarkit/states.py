@@ -238,7 +238,7 @@ def state_from_json(text: str) -> BipartiteState:
         dim_s, dim_e, amps = obj["dim_s"], obj["dim_e"], obj["amps"]
     except KeyError as exc:
         raise ParseError(f"state object is missing key {exc}") from exc
-    if not (isinstance(dim_s, int) and isinstance(dim_e, int)) or dim_s < 1 or dim_e < 1:
+    if any(type(d) is not int or d < 1 for d in (dim_s, dim_e)):
         raise ParseError("dim_s and dim_e must be positive integers")
     try:
         arr = np.array(

@@ -170,6 +170,13 @@ class TestGleasonCommand:
         assert code == 2
         assert "greater than two" in err
 
+    def test_bad_env_seed_exit_2(self, capsys, monkeypatch, bell_file):
+        monkeypatch.setenv("ENVARKIT_SEED", "abc")
+        code, out, err = run(capsys, "schmidt", bell_file)
+        assert code == 2 and out == ""
+        assert err.startswith("ParseError: ") and "ENVARKIT_SEED" in err
+        assert len(err.splitlines()) == 1
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ENVARKIT_SEED", "99")
         code, out, _ = run(capsys, "gleason", "quadratic", "--trials", "5")

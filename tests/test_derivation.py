@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from envarkit import (
+    EnvarkitError,
     EnvSwap,
     EqualityStore,
     IncompleteDerivation,
@@ -184,3 +185,17 @@ def test_ruleset_enabled_names():
         "NORMALIZATION",
     )
     assert "PAIRING" not in RuleSet().without("PAIRING").enabled()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_terms(bell_state(), [(1, 1)]),
+        lambda: RuleSet().without("nope"),
+        lambda: ProbTerm("X", 1, StateExpr()),
+    ],
+    ids=["swap-with-itself", "unknown-rule", "unknown-subsystem"],
+)
+def test_input_errors_stay_in_the_hierarchy(make):
+    with pytest.raises(EnvarkitError):
+        make()

@@ -1,0 +1,175 @@
+"""The equality engine against a plain reference saturation.
+
+The reference makes every merge attempt every rule licenses, on a union-find
+keyed directly by ``ProbTerm``.  The engine interns terms and skips
+state-function pairs whose exprs are already linked; it must still record
+the same effective merges, in the same order, and end with the same classes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from envarkit import ProbTerm, RuleSet, generate_terms, make_state, replay, saturate, schmidt
+from envarkit.derivation import (
+    _ENV_SIDE,
+    _PAIR_TOL,
+    _SYSTEM_SIDE,
+    RULE_NAMES,
+    STATE_EQ_TOL,
+    MergeRecord,
+)
+from envarkit.schmidt import DEGENERACY_TOL
+from helpers import spectrum_state
+
+RULE_SETS = [RuleSet()] + [RuleSet().without(name) for name in RULE_NAMES]
+
+
+class ReferenceStore:
+    """Union-find over terms; the root of a class is its earliest term."""
+
+    def __init__(self, terms) -> None:
+        self.parent: dict[ProbTerm, ProbTerm] = {}
+        self.order: dict[ProbTerm, int] = {}
+        self.trace: list[MergeRecord] = []
+        for term in terms:
+            if term not in self.parent:
+                self.parent[term] = term
+                self.order[term] = len(self.order)
+
+    def find(self, term: ProbTerm) -> ProbTerm:
+        while self.parent[term] is not term:
+            term = self.parent[term]
+        return term
+
+    def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> None:
+        ra, rb = self.find(left), self.find(right)
+        if ra is rb:
+            return
+        if self.order[rb] < self.order[ra]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.trace.append(MergeRecord(rule, left, right))
+
+    def classes(self) -> list[list[ProbTerm]]:
+        grouped: dict[ProbTerm, list[ProbTerm]] = {}
+        for term in self.order:
+            grouped.setdefault(self.find(term), []).append(term)
+        return list(grouped.values())
+
+
+def reference_saturate(term_set, rules: RuleSet) -> ReferenceStore:
+    store = ReferenceStore(term_set.terms)
+    dec = term_set.decomposition
+    exprs = term_set.exprs
+    amps = {expr: replay(expr, term_set.base_state, dec).amps for expr in exprs}
+
+    if rules.pairing:
+        for expr in exprs:
+            frame = dec.system_vectors.conj().T @ amps[expr] @ np.conj(dec.env_vectors)
+            for k in term_set.branches:
+                row = frame[k - 1]
+                partner = int(np.argmax(np.abs(row)))
+                off = np.sqrt(max(float(np.sum(np.abs(row) ** 2) - np.abs(row[partner]) ** 2), 0.0))
+                if off <= _PAIR_TOL:
+                    store.merge("PAIRING", ProbTerm("S", k, expr), ProbTerm("E", partner + 1, expr))
+
+    for rule, enabled, side, sub in (
+        ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, "E"),
+        ("SYS_LOCALITY", rules.sys_locality, _ENV_SIDE, "S"),
+    ):
+        if not enabled:
+            continue
+        for expr in exprs:
+            if expr.transforms and isinstance(expr.transforms[-1], side) and expr.parent() in amps:
+                for k in term_set.branches:
+                    store.merge(rule, ProbTerm(sub, k, expr), ProbTerm(sub, k, expr.parent()))
+
+    if rules.state_function:
+        for i in range(len(exprs)):
+            for j in range(i + 1, len(exprs)):
+                if float(np.linalg.norm(amps[exprs[i]] - amps[exprs[j]])) <= STATE_EQ_TOL:
+                    for sub in ("S", "E"):
+                        for k in term_set.branches:
+                            store.merge(
+                                "STATE_FUNCTION", ProbTerm(sub, k, exprs[j]), ProbTerm(sub, k, exprs[i])
+                            )
+    return store
+
+
+def assert_engine_matches_reference(term_set, rules: RuleSet) -> None:
+    store = saturate(term_set, rules)
+    reference = reference_saturate(term_set, rules)
+    assert store.trace == reference.trace
+    assert store.classes() == reference.classes()
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_equal_branch_states(m):
+    state = make_state(np.eye(m, dtype=complex) / np.sqrt(m))
+    term_set = generate_terms(state, [(k, k + 1) for k in range(1, m)])
+    assert_engine_matches_reference(term_set, RuleSet())
+
+
+def test_tolerance_chain_that_is_not_transitive():
+    # both restored states are within STATE_EQ_TOL of psi but not of each other
+    d = 0.6 * DEGENERACY_TOL
+    lams = [3**-0.5 + d, 3**-0.5, 3**-0.5 - d]
+    state = spectrum_state(lams, seed_s=1, seed_e=2)
+    term_set = generate_terms(state, [(1, 2), (2, 3)])
+    psi, _, restored_12, _, restored_23 = (
+        replay(expr, state, term_set.decomposition).amps for expr in term_set.exprs
+    )
+    assert np.linalg.norm(psi - restored_12) <= STATE_EQ_TOL
+    assert np.linalg.norm(psi - restored_23) <= STATE_EQ_TOL
+    assert np.linalg.norm(restored_12 - restored_23) > STATE_EQ_TOL
+    for rules in RULE_SETS:
+        assert_engine_matches_reference(term_set, rules)
+
+
+@st.composite
+def spectra(draw):
+    """Schmidt spectra: two-level, near-degenerate, or with a tiny degenerate tail."""
+    kind = draw(st.sampled_from(("two-level", "near-degenerate", "tiny-tail")))
+    rank = draw(st.integers(2, 5))
+    split = draw(st.integers(1, rank - 1))
+    if kind == "two-level":
+        high = draw(st.floats(1.0, 3.0))
+        return [high] * split + [1.0] * (rank - split)
+    if kind == "near-degenerate":
+        # swapped-and-restored states then sit about sqrt(2) * spread from the
+        # base state, on both sides of STATE_EQ_TOL
+        spread = draw(st.floats(1e-12, 0.9 * DEGENERACY_TOL))
+        offsets = draw(st.lists(st.floats(0.0, 1.0), min_size=rank, max_size=rank))
+        return sorted((rank**-0.5 + spread * o for o in offsets), reverse=True)
+    tail = 10 ** draw(st.floats(-11.5, -10.5))
+    return [1.0] * split + [tail] * (rank - split)
+
+
+@given(
+    lams=spectra(),
+    extra_env=st.integers(0, 2),
+    seed=st.integers(0, 10**6),
+    picks=st.lists(st.integers(0, 10**6), max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_drawn_states_under_every_single_ablation(lams, extra_env, seed, picks):
+    state = spectrum_state(lams, seed_s=seed, seed_e=seed + 1, dim_e=len(lams) + extra_env)
+    try:
+        dec = schmidt(state)
+    except ValueError:
+        assume(False)
+    lam = dec.coefficients
+    pairs = [
+        (i, j)
+        for i in range(1, dec.rank + 1)
+        for j in range(1, dec.rank + 1)
+        if i != j and abs(float(lam[i - 1] - lam[j - 1])) <= DEGENERACY_TOL
+    ]
+    swaps = [pairs[p % len(pairs)] for p in picks] if pairs else []
+    term_set = generate_terms(state, swaps)
+    for rules in RULE_SETS:
+        assert_engine_matches_reference(term_set, rules)

@@ -246,6 +246,11 @@ class TestJsonFormat:
         with pytest.raises(ParseError):
             state_from_json('{"dim_s": 2, "dim_e": 1, "amps": [[[1, 0]]]}')
 
+    @pytest.mark.parametrize("dims", ['"dim_s": true, "dim_e": 1', '"dim_s": 1, "dim_e": true'])
+    def test_boolean_dims_rejected(self, dims):
+        with pytest.raises(ParseError, match="positive integers"):
+            state_from_json('{%s, "amps": [[[1, 0]]]}' % dims)
+
     def test_unnormalized_file(self):
         with pytest.raises(NotNormalized):
             state_from_json('{"dim_s": 1, "dim_e": 2, "amps": [[[1, 0], [1, 0]]]}')
