@@ -122,7 +122,7 @@ def _derivation_report(term_set: TermSet, rules: RuleSet) -> dict:
         ],
     }
     try:
-        probs = numeric_probabilities(store, state, rules)
+        probs = numeric_probabilities(store, state, rules, term_set.decomposition)
         report["probabilities"] = [str(p) for _, p in probs]
         report["probabilities_float"] = [float(p) for _, p in probs]
     except IncompleteDerivation as exc:
@@ -133,10 +133,11 @@ def _derivation_report(term_set: TermSet, rules: RuleSet) -> dict:
 
 def _cmd_derive(args) -> tuple[dict, int]:
     state = load_state(args.state)
-    rank = schmidt(state).rank
+    dec = schmidt(state)
+    rank = dec.rank
     swaps = _parse_swaps(args.swaps) if args.swaps else [(k, k + 1) for k in range(1, rank)]
     rules = _rules_from_args(args.disable or [])
-    term_set = generate_terms(state, swaps)
+    term_set = generate_terms(state, swaps, dec)
     report = _derivation_report(term_set, rules)
     if args.ablate:
         ablations = []

@@ -15,6 +15,19 @@ an explicit, switchable rule:
   only, so transcripts replaying to the same state carry the same terms.
 * ``normalization`` - branch probabilities of one state sum to 1; this is
   the extra step that turns an all-equal class into the number ``1/d``.
+
+``saturate`` decides every merge with the dense floating-point test of its
+rule, yet does each piece of work once; each shortcut is exact:
+
+1. one pass interns the terms and fills the id table every rule merges
+   through (a repeated expr shares its first occurrence's ids);
+2. each distinct expr is replayed once, from its parent's state when the
+   parent is listed: ``replay``'s own operations, so bit-equal arrays;
+3. ``PAIRING`` takes the Schmidt frames from stacked products, slice by
+   slice the products of one expr at a time;
+4. ``STATE_FUNCTION`` norm-tests only pairs whose projections on a fixed unit
+   vector are close; a projection gap never exceeds the norm gap, so every
+   dropped pair would have failed the norm test.
 """
 
 from __future__ import annotations
@@ -38,6 +51,9 @@ from .states import BipartiteState, apply_env, apply_system
 
 STATE_EQ_TOL = 1e-9
 _PAIR_TOL = 1e-9
+
+# exprs per stacked Schmidt-frame product; bounds PAIRING's scratch memory
+_FRAME_BATCH = 16
 
 RULE_NAMES = ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION", "NORMALIZATION")
 
@@ -148,6 +164,21 @@ class RuleSet:
 # Replay: transcripts to concrete states
 # ---------------------------------------------------------------------------
 
+def _apply_transform(
+    t: Transform, state: BipartiteState, dec: SchmidtDecomposition
+) -> BipartiteState:
+    """Apply one transform tag, read in the base state's Schmidt bases."""
+    if isinstance(t, SystemSwap):
+        return apply_system(swap_transform(t.i, t.j, dec.system_vectors), state)
+    if isinstance(t, EnvSwap):
+        return apply_env(swap_transform(t.i, t.j, dec.env_vectors), state)
+    if isinstance(t, SystemPhase):
+        return apply_system(phase_transform(t.indices, t.betas, dec.system_vectors), state)
+    if isinstance(t, EnvPhase):
+        return apply_env(phase_transform(t.indices, t.betas, dec.env_vectors), state)
+    raise TypeError(f"unknown transform tag {t!r}")
+
+
 def replay(
     expr: StateExpr,
     base_state: BipartiteState,
@@ -161,16 +192,7 @@ def replay(
     dec = decomposition if decomposition is not None else schmidt(base_state)
     state = base_state
     for t in expr.transforms:
-        if isinstance(t, SystemSwap):
-            state = apply_system(swap_transform(t.i, t.j, dec.system_vectors), state)
-        elif isinstance(t, EnvSwap):
-            state = apply_env(swap_transform(t.i, t.j, dec.env_vectors), state)
-        elif isinstance(t, SystemPhase):
-            state = apply_system(phase_transform(t.indices, t.betas, dec.system_vectors), state)
-        elif isinstance(t, EnvPhase):
-            state = apply_env(phase_transform(t.indices, t.betas, dec.env_vectors), state)
-        else:
-            raise TypeError(f"unknown transform tag {t!r}")
+        state = _apply_transform(t, state, dec)
     return state
 
 
@@ -217,7 +239,11 @@ class TermSet:
         return len(self.terms)
 
 
-def generate_terms(state: BipartiteState, swaps) -> TermSet:
+def generate_terms(
+    state: BipartiteState,
+    swaps,
+    decomposition: SchmidtDecomposition | None = None,
+) -> TermSet:
     """Emit the probability terms the swap argument talks about.
 
     For each swap pair ``(i, j)`` the transcript visits the base state, the
@@ -226,7 +252,7 @@ def generate_terms(state: BipartiteState, swaps) -> TermSet:
     Swapped branches must carry equal coefficients, otherwise swapping has
     no claim to preserve the probability bookkeeping.
     """
-    dec = schmidt(state)
+    dec = decomposition if decomposition is not None else schmidt(state)
     lam = dec.coefficients
     r = dec.rank
     exprs: list[StateExpr] = [StateExpr()]
@@ -291,10 +317,16 @@ class EqualityStore:
             self.add(term)
 
     def add(self, term: ProbTerm) -> None:
-        if term not in self._ids:
-            self._ids[term] = len(self._terms)
+        self._intern(term)
+
+    def _intern(self, term: ProbTerm) -> int:
+        """Id of ``term``, registering it first if new; hashes the term once."""
+        new = len(self._terms)
+        tid = self._ids.setdefault(term, new)
+        if tid == new:
             self._terms.append(term)
-            self._parent.append(len(self._parent))
+            self._parent.append(new)
+        return tid
 
     def _id(self, term: ProbTerm) -> int:
         try:
@@ -371,45 +403,105 @@ class EqualityStore:
 # Saturation
 # ---------------------------------------------------------------------------
 
-def _schmidt_frame(amps: np.ndarray, dec: SchmidtDecomposition) -> np.ndarray:
-    # coefficient of |s_k>|e_l> in the base state's Schmidt bases
-    return dec.system_vectors.conj().T @ amps @ np.conj(dec.env_vectors)
+def _direction(size: int) -> np.ndarray:
+    """Fixed unit real vector; its irregular entries keep distinct states apart."""
+    w = np.sin(np.arange(1.0, size + 1.0) ** 2)
+    return w / np.linalg.norm(w)
+
+
+def _replay_distinct(
+    exprs, base_state: BipartiteState, dec: SchmidtDecomposition
+) -> tuple[dict[StateExpr, int], list[int | None], np.ndarray]:
+    """Replay each distinct expr once.
+
+    Returns each distinct expr's row in first-occurrence order, each row's
+    parent row (``None`` for the base or an unlisted parent), and the stacked
+    amplitudes.  A row with a listed parent is the parent's state plus its
+    last transform: the operations ``replay`` performs, in the same order.
+    """
+    rows: dict[StateExpr, int] = {}
+    for expr in exprs:
+        rows.setdefault(expr, len(rows))
+    parents = [rows.get(expr.parent()) if expr.transforms else None for expr in rows]
+    stack = np.empty((len(rows), *base_state.amps.shape), dtype=complex)
+    for expr, n in sorted(rows.items(), key=lambda item: len(item[0].transforms)):
+        parent = parents[n]
+        if parent is None:
+            state = replay(expr, base_state, dec)
+        else:
+            # states live only in the stack, so memory holds one copy of them
+            state = _apply_transform(expr.transforms[-1], BipartiteState(stack[parent]), dec)
+        stack[n] = state.amps
+    return rows, parents, stack
 
 
 def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     """Apply every enabled merging rule to fixpoint over the term set.
 
     Each rule's applicability depends only on the replayed states, never on
-    the current partition, so a single deterministic sweep saturates.  Rules
-    merge through a ``(sub, k, expr position) -> id`` table; a state-function
-    pair whose exprs are already linked through earlier pairs is skipped,
-    since all its terms already share classes.
+    the current partition, so a single deterministic sweep saturates.  Every
+    decision is taken by the rule's dense floating-point test; the steps
+    below only avoid repeating work, so the trace and the classes are those
+    of testing every pair:
+
+    * Terms are interned in one pass that also fills the ``(sub, k, expr)
+      -> id`` table every rule merges through.  A repeated expr shares its
+      first occurrence's ids, so its merges could never change the partition
+      and the rules visit distinct exprs only.
+    * Each distinct expr is replayed once, from its parent's state plus its
+      last transform when the parent is listed (``_replay_distinct``); the
+      arrays are bit-equal to ``replay``'s.
+    * ``PAIRING`` computes the Schmidt frames of ``_FRAME_BATCH`` exprs per
+      stacked product; each slice is the same matrix product as for a single
+      expr.
+    * ``STATE_FUNCTION`` norm-tests only pairs whose projections on a fixed
+      unit vector differ by at most ``STATE_EQ_TOL`` plus a rounding slack.
+      A projection difference never exceeds the norm difference, so every
+      dropped pair would have failed the norm test; the rest run in the same
+      (i, j) order.  A pair whose exprs are already linked through earlier
+      pairs is skipped, since all its terms already share classes.
     """
-    store = EqualityStore(term_set.terms)
     dec = term_set.decomposition
-    exprs = term_set.exprs
-    cache = [replay(expr, term_set.base_state, dec).amps for expr in exprs]
-    position: dict[StateExpr, int] = {}
-    for pos, expr in enumerate(exprs):
-        position.setdefault(expr, pos)
-    ids = [
-        {sub: [store._id(ProbTerm(sub, k, expr)) for k in term_set.branches] for sub in ("S", "E")}
-        for expr in exprs
-    ]
+    rows, parents, stack = _replay_distinct(term_set.exprs, term_set.base_state, dec)
+    width = len(term_set.branches)
+    slot = {k: n for n, k in enumerate(term_set.branches)}
+    table = {expr: {"S": [None] * width, "E": [None] * width} for expr in rows}
+
+    store = EqualityStore()
+    intern = store._intern
+    state = slots = None
+    for term in term_set.terms:
+        tid = intern(term)
+        if term.state is not state:
+            state = term.state
+            slots = table.get(state)
+        n = slot.get(term.index)
+        if slots is not None and n is not None:
+            slots[term.subsystem][n] = tid
+    for expr, slots in table.items():
+        for sub in ("S", "E"):
+            if None in slots[sub]:
+                k = term_set.branches[slots[sub].index(None)]
+                raise UnknownTerm(str(ProbTerm(sub, k, expr)))
+    ids = list(table.values())
     union = store._union
 
     if rules.pairing:
-        rows = np.arange(dec.rank)
-        for pos, amps in enumerate(cache):
-            mags = np.abs(_schmidt_frame(amps, dec))
-            partners = np.argmax(mags, axis=1)
+        s_adjoint, e_conj = dec.system_vectors.conj().T, np.conj(dec.env_vectors)
+        for lo in range(0, len(rows), _FRAME_BATCH):
+            # coefficient of |s_k>|e_l> in the base state's Schmidt bases
+            mags = np.abs(s_adjoint @ stack[lo : lo + _FRAME_BATCH] @ e_conj)
+            partners = np.argmax(mags, axis=2)
+            peaks = np.take_along_axis(mags, partners[:, :, np.newaxis], axis=2)
             # each peak is squared by Python's float pow, which can round
             # differently from the array square; this keeps the result bit-equal
             # to the row-by-row test in tests/test_engine_reference.py
-            peaks = np.array([m**2 for m in mags[rows, partners].tolist()])
-            off = np.sqrt(np.maximum(np.sum(mags**2, axis=1) - peaks, 0.0))
-            for k in np.flatnonzero(off <= _PAIR_TOL):
-                union("PAIRING", ids[pos]["S"][k], ids[pos]["E"][partners[k]])
+            peaks = np.array([m**2 for m in peaks.ravel().tolist()]).reshape(partners.shape)
+            off = np.sqrt(np.maximum(np.sum(mags**2, axis=2) - peaks, 0.0))
+            partners = partners.tolist()
+            for n, k in zip(*(axis.tolist() for axis in np.nonzero(off <= _PAIR_TOL))):
+                row = ids[lo + n]
+                union("PAIRING", row["S"][k], row["E"][partners[n][k]])
 
     for rule, enabled, side, sub in (
         ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, "E"),
@@ -417,25 +509,35 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     ):
         if not enabled:
             continue
-        for pos, expr in enumerate(exprs):
-            if expr.transforms and isinstance(expr.transforms[-1], side):
-                parent = position.get(expr.parent())
-                if parent is not None:
-                    for child_id, parent_id in zip(ids[pos][sub], ids[parent][sub]):
-                        union(rule, child_id, parent_id)
+        for expr, row in rows.items():
+            parent = parents[row]
+            if parent is not None and isinstance(expr.transforms[-1], side):
+                for child_id, parent_id in zip(ids[row][sub], ids[parent][sub]):
+                    union(rule, child_id, parent_id)
 
     if rules.state_function:
-        link = list(range(len(exprs)))
-        for i in range(len(exprs)):
-            for j in range(i + 1, len(exprs)):
-                root_i, root_j = _root(link, i), _root(link, j)
-                if root_i == root_j:
-                    continue  # every (sub, k) pair of terms already shares a class
-                if float(np.linalg.norm(cache[i] - cache[j])) <= STATE_EQ_TOL:
-                    for sub in ("S", "E"):
-                        for left, right in zip(ids[j][sub], ids[i][sub]):
-                            union("STATE_FUNCTION", left, right)
-                    link[root_j] = root_i
+        size = stack[0].size
+        # |sigma_i - sigma_j| <= ||A_i - A_j||; the slack covers the rounding
+        # of both projections, each within size * eps for unit-norm states
+        sigma = stack.reshape(len(rows), size).real @ _direction(size)
+        order = np.argsort(sigma, kind="stable")
+        ranked = sigma[order]
+        bound = STATE_EQ_TOL + 4 * size * np.finfo(float).eps
+        reach = np.searchsorted(ranked, ranked + bound, side="right").tolist()
+        order = order.tolist()
+        candidates = sorted(
+            (min(i, j), max(i, j)) for n, i in enumerate(order) for j in order[n + 1 : reach[n]]
+        )
+        link = list(range(len(rows)))
+        for i, j in candidates:
+            root_i, root_j = _root(link, i), _root(link, j)
+            if root_i == root_j:
+                continue  # every (sub, k) pair of terms already shares a class
+            if float(np.linalg.norm(stack[i] - stack[j])) <= STATE_EQ_TOL:
+                for sub in ("S", "E"):
+                    for left, right in zip(ids[j][sub], ids[i][sub]):
+                        union("STATE_FUNCTION", left, right)
+                link[root_j] = root_i
 
     return store
 
@@ -450,7 +552,10 @@ def equal_probabilities(
 
 
 def numeric_probabilities(
-    store: EqualityStore, state: BipartiteState, rules: RuleSet
+    store: EqualityStore,
+    state: BipartiteState,
+    rules: RuleSet,
+    decomposition: SchmidtDecomposition | None = None,
 ) -> list[tuple[int, Fraction]]:
     """Exact branch probabilities, emitted only when the derivation closed.
 
@@ -461,7 +566,7 @@ def numeric_probabilities(
     """
     if not rules.normalization:
         raise IncompleteDerivation("normalization rule is disabled; no numbers can be emitted")
-    d = schmidt(state).rank
+    d = (decomposition if decomposition is not None else schmidt(state)).rank
     base = StateExpr()
     branch_terms = [ProbTerm("S", k, base) for k in range(1, d + 1)]
     roots = {store.find(t) for t in branch_terms}

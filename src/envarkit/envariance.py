@@ -67,9 +67,9 @@ def phase_transform(
     Identity on the orthogonal complement of the selected vectors.
     """
     if len(indices) != len(betas):
-        raise ValueError(f"{len(indices)} indices but {len(betas)} phases")
+        raise DimensionMismatch(f"{len(indices)} indices but {len(betas)} phases")
     if len(set(indices)) != len(indices):
-        raise ValueError("phase indices must be distinct")
+        raise IndexOutOfRange("phase indices must be distinct")
     vecs = _checked_basis(basis, indices)
     mat = np.eye(vecs.shape[0], dtype=complex)
     for idx, beta in zip(indices, betas):
@@ -81,7 +81,7 @@ def phase_transform(
 def swap_transform(i: int, j: int, basis) -> LocalUnitary:
     """Self-inverse unitary exchanging basis vectors ``i`` and ``j`` (1-based)."""
     if i == j:
-        raise ValueError("swap indices must differ")
+        raise IndexOutOfRange("swap indices must differ")
     vecs = _checked_basis(basis, (i, j))
     vi, vj = vecs[:, i - 1], vecs[:, j - 1]
     mat = np.eye(vecs.shape[0], dtype=complex)

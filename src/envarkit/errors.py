@@ -55,4 +55,4 @@ class WeightMismatch(EnvarkitError):
 
 
 class ParseError(EnvarkitError):
-    """Input file or inline spec does not match the expected schema."""
+    """Input (a file, an inline spec or a constructor argument) breaks its schema."""

@@ -109,7 +109,7 @@ def fine_grain(weights: RationalWeights, n: int) -> FineGrainedState:
     return FineGrainedState(make_state(amps), tuple(branch_map))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def equal_branch_derivation(
     m_total: int,
 ) -> tuple[TermSet, EqualityStore, tuple[Fraction, ...]]:
@@ -119,14 +119,15 @@ def equal_branch_derivation(
     is the diagonal state with M equal branches; adjacent swaps plus the
     full rule set put every branch term in one class, so each sub-branch
     receives exactly ``1/M``.  Results are cached because they depend only
-    on M.
+    on M; the cache holds the 64 most recent grains, enough for every grain
+    of the M <= 32 acceptance sweep to stay resident.
     """
     state = make_state(np.eye(m_total, dtype=complex) / np.sqrt(m_total))
     swaps = tuple((k, k + 1) for k in range(1, m_total))
     term_set = generate_terms(state, swaps)
     rules = RuleSet()
     store = saturate(term_set, rules)
-    probs = numeric_probabilities(store, state, rules)
+    probs = numeric_probabilities(store, state, rules, term_set.decomposition)
     return term_set, store, tuple(p for _, p in probs)
 
 

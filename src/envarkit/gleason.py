@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonOrthonormalBasis
+from .errors import DimensionMismatch, NonOrthonormalBasis, NotNormalized, ParseError
 
 AUDIT_TOL = 1e-9
 _BASIS_TOL = 1e-10
@@ -30,7 +30,7 @@ class BasisSample:
     def __post_init__(self) -> None:
         vecs = np.array(self.vectors, dtype=complex)
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1] or vecs.shape[0] < 2:
-            raise ValueError(f"basis must be square with dim >= 2, got shape {vecs.shape}")
+            raise DimensionMismatch(f"basis must be square with dim >= 2, got shape {vecs.shape}")
         defect = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[0]))))
         if defect > _BASIS_TOL:
             raise NonOrthonormalBasis(f"basis deviates from orthonormality by {defect:.3g}")
@@ -49,7 +49,7 @@ def random_basis(dim: int, seed: int) -> BasisSample:
     phase convention makes the factorization (and hence the sample) unique.
     """
     if dim < 2:
-        raise ValueError(f"basis dimension must be at least 2, got {dim}")
+        raise DimensionMismatch(f"basis dimension must be at least 2, got {dim}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -67,13 +67,13 @@ class QuadraticFrame:
     def __post_init__(self) -> None:
         rho = np.array(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"rho must be square, got shape {rho.shape}")
+            raise DimensionMismatch(f"rho must be square, got shape {rho.shape}")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("rho must be Hermitian within 1e-10")
+            raise ParseError("rho must be Hermitian within 1e-10")
         if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
-            raise ValueError("rho must have unit trace within 1e-10")
+            raise NotNormalized("rho must have unit trace within 1e-10")
         if float(np.min(np.linalg.eigvalsh(rho))) < -1e-10:
-            raise ValueError("rho must be positive semidefinite within 1e-10")
+            raise ParseError("rho must be positive semidefinite within 1e-10")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
@@ -98,8 +98,10 @@ class PowerOverlapFrame:
 
     def __post_init__(self) -> None:
         w = np.array(self.w, dtype=complex)
-        if w.ndim != 1 or abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
-            raise ValueError("w must be a unit vector")
+        if w.ndim != 1:
+            raise DimensionMismatch(f"w must be a 1-d vector, got shape {w.shape}")
+        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
+            raise NotNormalized("w must be a unit vector")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -175,9 +177,9 @@ def audit(
     quadratic forms in dimension greater than two.
     """
     if dim < 3:
-        raise ValueError("frame-function audit requires dimension greater than two")
+        raise DimensionMismatch("frame-function audit requires dimension greater than two")
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ParseError("trials must be at least 1")
     max_dev = -1.0
     total = 0.0
     worst_seed = seed

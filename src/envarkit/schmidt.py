@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionMismatch, NonOrthonormalBasis, NotNormalized, ParseError
 from .states import BipartiteState, _fmt17, make_state, reduced_density_system
 
 SCHMIDT_CUTOFF = 1e-12
@@ -38,20 +38,20 @@ class SchmidtDecomposition:
         svecs = np.array(self.system_vectors, dtype=complex)
         evecs = np.array(self.env_vectors, dtype=complex)
         if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
+            raise DimensionMismatch("coefficients must be a nonempty 1-d array")
         r = lam.size
         if svecs.ndim != 2 or evecs.ndim != 2 or svecs.shape[1] != r or evecs.shape[1] != r:
-            raise ValueError("vector blocks must supply one column per coefficient")
+            raise DimensionMismatch("vector blocks must supply one column per coefficient")
         if np.any(np.diff(lam) > 0):
-            raise ValueError("coefficients must be sorted descending")
+            raise ParseError("coefficients must be sorted descending")
         if np.any(lam <= SCHMIDT_CUTOFF):
-            raise ValueError(f"coefficients must exceed the zero cutoff {SCHMIDT_CUTOFF}")
+            raise ParseError(f"coefficients must exceed the zero cutoff {SCHMIDT_CUTOFF}")
         if abs(float(np.sum(lam**2)) - 1.0) > 1e-9:
-            raise ValueError("squared coefficients must sum to 1 within 1e-9")
+            raise NotNormalized("squared coefficients must sum to 1 within 1e-9")
         for name, block in (("system_vectors", svecs), ("env_vectors", evecs)):
             gram = block.conj().T @ block
             if np.max(np.abs(gram - np.eye(r))) > 1e-9:
-                raise ValueError(f"{name} columns are not orthonormal within 1e-9")
+                raise NonOrthonormalBasis(f"{name} columns are not orthonormal within 1e-9")
         for name, arr in (("coefficients", lam), ("system_vectors", svecs), ("env_vectors", evecs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -42,7 +42,7 @@ def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
             f"{what} must be a nonempty rank-{ndim} array, got shape {arr.shape}"
         )
     if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite (no NaN/Inf entries)")
+        raise ParseError(f"{what} must be finite (no NaN/Inf entries)")
     arr.setflags(write=False)
     return arr
 
@@ -143,7 +143,7 @@ def make_state(coeffs, normalize: bool = False) -> BipartiteState:
     if amps.ndim != 2 or amps.size == 0:
         raise DimensionMismatch(f"coefficients must form a nonempty matrix, got shape {amps.shape}")
     if not np.isfinite(amps).all():
-        raise ValueError("coefficients must be finite (no NaN/Inf entries)")
+        raise ParseError("coefficients must be finite (no NaN/Inf entries)")
     if not amps.any():
         raise ZeroState("all coefficients are zero")
     if normalize:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +129,21 @@ class TestDeriveCommand:
         assert code == 0
         assert len(report["ablations"]) == 4
         assert all(entry["s1_equals_s2"] is False for entry in report["ablations"])
+
+    def test_ablate_runs_one_schmidt(self, capsys, monkeypatch, even4_file):
+        real = sys.modules["envarkit.schmidt"].schmidt
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return real(state)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "envarkit" and getattr(module, "schmidt", None) is real:
+                monkeypatch.setattr(module, "schmidt", counting)
+        code, out, _ = run(capsys, "derive", even4_file, "--ablate")
+        assert code == 0 and json.loads(out)["probabilities"] == ["1/4"] * 4
+        assert len(calls) == 1
 
     def test_uneven_state_exit_2(self, capsys, uneven_file):
         code, _, err = run(capsys, "derive", uneven_file, "--swaps", "1,2")

@@ -14,10 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from envarkit import ProbTerm, RuleSet, generate_terms, make_state, replay, saturate, schmidt
+from envarkit import EnvPhase, SystemPhase, derivation
 from envarkit.derivation import (
     _ENV_SIDE,
     _PAIR_TOL,
     _SYSTEM_SIDE,
+    _replay_distinct,
     RULE_NAMES,
     STATE_EQ_TOL,
     MergeRecord,
@@ -173,3 +175,98 @@ def test_drawn_states_under_every_single_ablation(lams, extra_env, seed, picks):
     term_set = generate_terms(state, swaps)
     for rules in RULE_SETS:
         assert_engine_matches_reference(term_set, rules)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass replay and the bound-filtered STATE_FUNCTION at their edges
+# ---------------------------------------------------------------------------
+
+def test_equal_branch_state_at_the_largest_ladder_grain():
+    test_equal_branch_states(32)
+
+
+def two_level_state(distance: float, seed: int, rank: int = 4, extra_env: int = 2):
+    """Haar-rotated state whose swapped-and-restored exprs sit ``distance`` from psi.
+
+    Restoring a swap of a high and a low branch leaves ``gap * (s_j e_j^T -
+    s_i e_i^T)`` behind, of norm ``sqrt(2) * gap``.
+    """
+    gap = distance / np.sqrt(2)
+    split = rank // 2
+    lams = [rank**-0.5 + gap] * split + [rank**-0.5] * (rank - split)
+    return spectrum_state(lams, seed_s=seed, seed_e=seed + 1, dim_e=rank + extra_env)
+
+
+@pytest.mark.parametrize("distance", [0.9 * STATE_EQ_TOL, 1.1 * STATE_EQ_TOL])
+@pytest.mark.parametrize("seed", range(4))
+def test_two_level_states_at_the_tolerance(distance, seed):
+    state = two_level_state(distance, 100 * seed)
+    rng = np.random.default_rng(seed)
+    rank = schmidt(state).rank
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i != j]
+    swaps = [pairs[p] for p in rng.integers(0, len(pairs), 6)]
+    term_set = generate_terms(state, swaps)
+    amps = [replay(e, state, term_set.decomposition).amps for e in term_set.exprs]
+    gaps = [float(np.linalg.norm(a - b)) for a in amps for b in amps]
+    assert any(abs(g - distance) <= 0.02 * STATE_EQ_TOL for g in gaps)
+    for rules in RULE_SETS:
+        assert_engine_matches_reference(term_set, rules)
+
+
+def test_state_function_slack_absorbs_an_inflated_projection(monkeypatch):
+    # Replays of a diagonal state are exact permutations, so ||restored - psi||
+    # can be set just below STATE_EQ_TOL.  Projecting on a direction along that
+    # difference, one part in 1e6 too long, inflates the projection gap past
+    # STATE_EQ_TOL by more than rounding does but far less than the slack:
+    # the pair must still be norm-tested and merged.
+    gap = STATE_EQ_TOL / np.sqrt(2) * (1 - 0.5e-6)
+    lams = [(0.75 - (0.5 + gap) ** 2) ** 0.5, 0.5 + gap, 0.5]
+    amps = np.zeros((3, 4), dtype=complex)
+    amps[range(3), range(3)] = lams
+    state = make_state(amps)
+    term_set = generate_terms(state, [(2, 3)])
+    psi, _, restored = (replay(e, state, term_set.decomposition).amps for e in term_set.exprs)
+    assert STATE_EQ_TOL * (1 - 1e-6) < np.linalg.norm(restored - psi) <= STATE_EQ_TOL
+    diff = (restored - psi).real.ravel()
+    direction = (1 + 1e-6) * diff / np.linalg.norm(diff)
+    monkeypatch.setattr(derivation, "_direction", lambda size: direction)
+    assert any(rec.rule == "STATE_FUNCTION" for rec in saturate(term_set, RuleSet()).trace)
+    assert_engine_matches_reference(term_set, RuleSet())
+
+
+@given(
+    lams=spectra(),
+    extra_env=st.integers(0, 2),
+    seed=st.integers(0, 10**6),
+    picks=st.lists(st.integers(0, 10**6), max_size=8),
+    betas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_replay_from_the_parent_is_bit_equal(lams, extra_env, seed, picks, betas):
+    state = spectrum_state(lams, seed_s=seed, seed_e=seed + 1, dim_e=len(lams) + extra_env)
+    try:
+        dec = schmidt(state)
+    except ValueError:
+        assume(False)
+    lam = dec.coefficients
+    pairs = [
+        (i, j)
+        for i in range(1, dec.rank + 1)
+        for j in range(1, dec.rank + 1)
+        if i != j and abs(float(lam[i - 1] - lam[j - 1])) <= DEGENERACY_TOL
+    ]
+    swaps = [pairs[p % len(pairs)] for p in picks] if pairs else []
+    exprs = list(generate_terms(state, swaps, dec).exprs)
+    # phase children and grandchildren of listed exprs, and exprs whose
+    # parent is not listed
+    for n, beta in enumerate(betas):
+        k = 1 + n % dec.rank
+        child = exprs[n % len(exprs)].then(SystemPhase((k,), (beta,)))
+        exprs += [child, child.then(EnvPhase((k,), (-beta,)))]
+        exprs.append(child.then(EnvPhase((k,), (beta,))).then(SystemPhase((k,), (beta,))))
+    rows, parents, stack = _replay_distinct(exprs, state, dec)
+    assert list(rows) == list(dict.fromkeys(exprs))
+    for expr, n in rows.items():
+        assert np.array_equal(stack[n], replay(expr, state, dec).amps)
+        if parents[n] is not None:
+            assert list(rows)[parents[n]] == expr.parent()

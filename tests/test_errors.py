@@ -1,0 +1,67 @@
+"""Every validation fault is an ``EnvarkitError``: one ``except`` catches them all."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from envarkit import (
+    BasisSample,
+    BipartiteState,
+    DimensionMismatch,
+    EnvarkitError,
+    IndexOutOfRange,
+    NonOrthonormalBasis,
+    NotNormalized,
+    ParseError,
+    PowerOverlapFrame,
+    QuadraticFrame,
+    SchmidtDecomposition,
+    audit,
+    make_state,
+    phase_transform,
+    random_basis,
+    swap_transform,
+)
+
+R = 2**-0.5
+EYE2 = np.eye(2, dtype=complex)
+EYE3 = np.eye(3, dtype=complex)
+FRAME = QuadraticFrame(EYE3 / 3)
+
+
+def decomposition(lam, svecs=EYE2):
+    return lambda: SchmidtDecomposition(np.array(lam), svecs, EYE2)
+
+
+CASES = {
+    "decomposition-shape": (DimensionMismatch, decomposition([[1.0]])),
+    "decomposition-columns": (DimensionMismatch, decomposition([1.0])),
+    "decomposition-order": (ParseError, decomposition([0.6, 0.8])),
+    "decomposition-cutoff": (ParseError, decomposition([1.0, 0.0])),
+    "decomposition-norm": (NotNormalized, decomposition([0.9, 0.1])),
+    "decomposition-basis": (NonOrthonormalBasis, decomposition([R, R], np.ones((2, 2)))),
+    "basis-shape": (DimensionMismatch, lambda: BasisSample(np.eye(3, 2), 0)),
+    "random-basis-dim": (DimensionMismatch, lambda: random_basis(1, 0)),
+    "quadratic-shape": (DimensionMismatch, lambda: QuadraticFrame(np.eye(3, 2) / 2)),
+    "quadratic-hermitian": (ParseError, lambda: QuadraticFrame(np.array([[0.5, 1.0], [0.0, 0.5]]))),
+    "quadratic-trace": (NotNormalized, lambda: QuadraticFrame(EYE3)),
+    "quadratic-psd": (ParseError, lambda: QuadraticFrame(np.diag([1.5, -0.5, 0.0]))),
+    "power-shape": (DimensionMismatch, lambda: PowerOverlapFrame(EYE2, 2.0)),
+    "power-norm": (NotNormalized, lambda: PowerOverlapFrame(np.array([2.0, 0.0]), 2.0)),
+    "audit-dim": (DimensionMismatch, lambda: audit(QuadraticFrame(EYE2 / 2), 2, 1)),
+    "audit-trials": (ParseError, lambda: audit(FRAME, 3, 0)),
+    "phase-lengths": (DimensionMismatch, lambda: phase_transform((1, 2), (0.1,), EYE2)),
+    "phase-repeats": (IndexOutOfRange, lambda: phase_transform((1, 1), (0.1, 0.2), EYE2)),
+    "swap-same": (IndexOutOfRange, lambda: swap_transform(1, 1, EYE2)),
+    "state-finite": (ParseError, lambda: make_state([[np.nan, 0.0], [0.0, 1.0]])),
+    "amps-finite": (ParseError, lambda: BipartiteState(np.array([[np.inf, 0.0], [0.0, 1.0]]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_validation_faults_are_envarkit_errors(case):
+    kind, build = CASES[case]
+    with pytest.raises(EnvarkitError) as info:
+        build()
+    assert type(info.value) is kind

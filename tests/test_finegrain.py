@@ -122,3 +122,15 @@ class TestBornViaCounting:
         lam_sq = sorted((float(v) ** 2 for v in schmidt(fine_grain(w, n).state).coefficients), reverse=True)
         expected = sorted((float(p) for p in probs), reverse=True)
         assert max(abs(a - b) for a, b in zip(lam_sq, expected)) <= 1e-9
+
+
+def test_derivation_cache_is_bounded_and_keeps_the_sweep():
+    maxsize = equal_branch_derivation.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 32
+    for m in range(1, 33):
+        equal_branch_derivation(m)
+    before = equal_branch_derivation.cache_info()
+    for m in range(1, 33):
+        equal_branch_derivation(m)
+    after = equal_branch_derivation.cache_info()
+    assert after.hits - before.hits == 32 and after.misses == before.misses
