@@ -94,7 +94,11 @@ def _cmd_envariance(args) -> tuple[dict, int]:
         u_s = phase_transform(tuple(range(1, len(betas) + 1)), betas, dec.system_vectors)
     tol = args.tol if args.tol is not None else ENVAR_TOL
     verdict = check_envariance(state, u_s, tol=tol)
-    _, oracle_residual = oracle_best_counter(state, u_s)
+    # a verdict without a counter already carries the oracle's residual
+    if verdict.counter is None:
+        oracle_residual = verdict.residual
+    else:
+        _, oracle_residual = oracle_best_counter(state, u_s)
     report = {
         "envariant": verdict.envariant,
         "residual": verdict.residual,

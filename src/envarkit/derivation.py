@@ -16,18 +16,19 @@ an explicit, switchable rule:
 * ``normalization`` - branch probabilities of one state sum to 1; this is
   the extra step that turns an all-equal class into the number ``1/d``.
 
-``saturate`` decides every merge with the dense floating-point test of its
-rule, yet does each piece of work once; each shortcut is exact:
+``saturate`` works in the base state's Schmidt frame, where the swap
+argument lives.  With ``psi = S diag(lambda) E^T``, every tag permutes or
+rephases columns of ``S`` or ``E`` and is the identity outside them, so
+each expr's state is exactly ``S m E^T``, with ``m`` the r x r matrix
+``diag(lambda)`` whose rows (system tags) and columns (environment tags)
+are permuted and rephased.  Hence:
 
-1. one pass interns the terms and fills the id table every rule merges
-   through (a repeated expr shares its first occurrence's ids);
-2. each distinct expr is replayed once, from its parent's state when the
-   parent is listed: ``replay``'s own operations, so bit-equal arrays;
-3. ``PAIRING`` takes the Schmidt frames from stacked products, slice by
-   slice the products of one expr at a time;
-4. ``STATE_FUNCTION`` norm-tests only pairs whose projections on a fixed unit
-   vector are close; a projection gap never exceeds the norm gap, so every
-   dropped pair would have failed the norm test.
+* each row of ``m`` has one nonzero entry, so ``PAIRING`` pairs ``S:k`` with
+  the column of that entry, a lookup instead of a tolerance test;
+* ``S`` and ``E`` have orthonormal columns, so ``||S (m_i - m_j) E^T||`` is
+  ``||m_i - m_j||`` and ``STATE_FUNCTION`` compares r x r matrices.
+
+The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .envariance import phase_transform, swap_transform
+from .envariance import _check_indices, _check_phase, _check_swap, phase_transform, swap_transform
 from .errors import (
     IncompleteDerivation,
     IndexOutOfRange,
@@ -50,10 +51,6 @@ from .schmidt import DEGENERACY_TOL, SchmidtDecomposition, schmidt
 from .states import BipartiteState, apply_env, apply_system
 
 STATE_EQ_TOL = 1e-9
-_PAIR_TOL = 1e-9
-
-# exprs per stacked Schmidt-frame product; bounds PAIRING's scratch memory
-_FRAME_BATCH = 16
 
 RULE_NAMES = ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION", "NORMALIZATION")
 
@@ -164,21 +161,6 @@ class RuleSet:
 # Replay: transcripts to concrete states
 # ---------------------------------------------------------------------------
 
-def _apply_transform(
-    t: Transform, state: BipartiteState, dec: SchmidtDecomposition
-) -> BipartiteState:
-    """Apply one transform tag, read in the base state's Schmidt bases."""
-    if isinstance(t, SystemSwap):
-        return apply_system(swap_transform(t.i, t.j, dec.system_vectors), state)
-    if isinstance(t, EnvSwap):
-        return apply_env(swap_transform(t.i, t.j, dec.env_vectors), state)
-    if isinstance(t, SystemPhase):
-        return apply_system(phase_transform(t.indices, t.betas, dec.system_vectors), state)
-    if isinstance(t, EnvPhase):
-        return apply_env(phase_transform(t.indices, t.betas, dec.env_vectors), state)
-    raise TypeError(f"unknown transform tag {t!r}")
-
-
 def replay(
     expr: StateExpr,
     base_state: BipartiteState,
@@ -192,7 +174,15 @@ def replay(
     dec = decomposition if decomposition is not None else schmidt(base_state)
     state = base_state
     for t in expr.transforms:
-        state = _apply_transform(t, state, dec)
+        system = isinstance(t, _SYSTEM_SIDE)
+        basis = dec.system_vectors if system else dec.env_vectors
+        if isinstance(t, (SystemSwap, EnvSwap)):
+            u = swap_transform(t.i, t.j, basis)
+        elif isinstance(t, (SystemPhase, EnvPhase)):
+            u = phase_transform(t.indices, t.betas, basis)
+        else:
+            raise TypeError(f"unknown transform tag {t!r}")
+        state = apply_system(u, state) if system else apply_env(u, state)
     return state
 
 
@@ -257,8 +247,7 @@ def generate_terms(
     r = dec.rank
     exprs: list[StateExpr] = [StateExpr()]
     for i, j in swaps:
-        if i == j:
-            raise IndexOutOfRange("swap indices must differ")
+        _check_swap(i, j)
         for idx in (i, j):
             if not 1 <= idx <= r:
                 raise IndexOutOfRange(f"swap index {idx} outside 1..{r}")
@@ -409,60 +398,67 @@ def _direction(size: int) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _replay_distinct(
-    exprs, base_state: BipartiteState, dec: SchmidtDecomposition
-) -> tuple[dict[StateExpr, int], list[int | None], np.ndarray]:
-    """Replay each distinct expr once.
+def _frame_states(
+    exprs, dec: SchmidtDecomposition
+) -> tuple[dict[StateExpr, int], list[int | None], np.ndarray, np.ndarray]:
+    """Each distinct expr's state as an r x r matrix in the base Schmidt bases.
 
     Returns each distinct expr's row in first-occurrence order, each row's
-    parent row (``None`` for the base or an unlisted parent), and the stacked
-    amplitudes.  A row with a listed parent is the parent's state plus its
-    last transform: the operations ``replay`` performs, in the same order.
+    parent row (``None`` for the base or an unlisted parent), the ``(E, r,
+    r)`` stack of matrices, and each row's partner column: the environment
+    branch of the one nonzero entry in each system branch's row.  A
+    malformed tag raises what ``replay`` raises for it.
     """
     rows: dict[StateExpr, int] = {}
     for expr in exprs:
         rows.setdefault(expr, len(rows))
     parents = [rows.get(expr.parent()) if expr.transforms else None for expr in rows]
-    stack = np.empty((len(rows), *base_state.amps.shape), dtype=complex)
-    for expr, n in sorted(rows.items(), key=lambda item: len(item[0].transforms)):
-        parent = parents[n]
-        if parent is None:
-            state = replay(expr, base_state, dec)
-        else:
-            # states live only in the stack, so memory holds one copy of them
-            state = _apply_transform(expr.transforms[-1], BipartiteState(stack[parent]), dec)
-        stack[n] = state.amps
-    return rows, parents, stack
+    r = dec.rank
+    stack = np.zeros((len(rows), r, r), dtype=complex)
+    stack[:, range(r), range(r)] = dec.coefficients
+    for expr, m in zip(rows, stack):
+        for t in expr.transforms:
+            # system tags act on the rows, environment tags on the columns
+            side = m if isinstance(t, _SYSTEM_SIDE) else m.T
+            if isinstance(t, (SystemSwap, EnvSwap)):
+                _check_swap(t.i, t.j)
+                _check_indices((t.i, t.j), r)
+                side[[t.i - 1, t.j - 1]] = side[[t.j - 1, t.i - 1]]
+            elif isinstance(t, (SystemPhase, EnvPhase)):
+                _check_phase(t.indices, t.betas)
+                _check_indices(t.indices, r)
+                side[[k - 1 for k in t.indices]] *= np.exp(1j * np.array(t.betas, float))[:, None]
+            else:
+                raise TypeError(f"unknown transform tag {t!r}")
+    if not np.isfinite(stack).all():
+        raise ParseError("phases must be finite (no NaN/Inf entries)")
+    return rows, parents, stack, np.argmax(stack != 0, axis=2)
 
 
 def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     """Apply every enabled merging rule to fixpoint over the term set.
 
-    Each rule's applicability depends only on the replayed states, never on
-    the current partition, so a single deterministic sweep saturates.  Every
-    decision is taken by the rule's dense floating-point test; the steps
-    below only avoid repeating work, so the trace and the classes are those
-    of testing every pair:
+    Each rule's applicability depends only on the exprs' states, never on
+    the current partition, so a single deterministic sweep saturates.  The
+    states are Schmidt-frame matrices (``_frame_states``), exact for every
+    tag, and every distinct expr is visited once:
 
     * Terms are interned in one pass that also fills the ``(sub, k, expr)
       -> id`` table every rule merges through.  A repeated expr shares its
       first occurrence's ids, so its merges could never change the partition
       and the rules visit distinct exprs only.
-    * Each distinct expr is replayed once, from its parent's state plus its
-      last transform when the parent is listed (``_replay_distinct``); the
-      arrays are bit-equal to ``replay``'s.
-    * ``PAIRING`` computes the Schmidt frames of ``_FRAME_BATCH`` exprs per
-      stacked product; each slice is the same matrix product as for a single
-      expr.
+    * ``PAIRING`` unions ``S:k`` with ``E:partner[k]``.  Each row of a frame
+      matrix holds one nonzero entry, so every system branch has exactly one
+      partner and no threshold is needed.
     * ``STATE_FUNCTION`` norm-tests only pairs whose projections on a fixed
       unit vector differ by at most ``STATE_EQ_TOL`` plus a rounding slack.
       A projection difference never exceeds the norm difference, so every
-      dropped pair would have failed the norm test; the rest run in the same
-      (i, j) order.  A pair whose exprs are already linked through earlier
-      pairs is skipped, since all its terms already share classes.
+      dropped pair would have failed the norm test; the rest run in (i, j)
+      order.  A pair whose exprs are already linked through earlier pairs is
+      skipped, since all its terms already share classes.  The frame norm
+      equals the dense one, since the Schmidt bases are orthonormal.
     """
-    dec = term_set.decomposition
-    rows, parents, stack = _replay_distinct(term_set.exprs, term_set.base_state, dec)
+    rows, parents, stack, partners = _frame_states(term_set.exprs, term_set.decomposition)
     width = len(term_set.branches)
     slot = {k: n for n, k in enumerate(term_set.branches)}
     table = {expr: {"S": [None] * width, "E": [None] * width} for expr in rows}
@@ -487,21 +483,9 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     union = store._union
 
     if rules.pairing:
-        s_adjoint, e_conj = dec.system_vectors.conj().T, np.conj(dec.env_vectors)
-        for lo in range(0, len(rows), _FRAME_BATCH):
-            # coefficient of |s_k>|e_l> in the base state's Schmidt bases
-            mags = np.abs(s_adjoint @ stack[lo : lo + _FRAME_BATCH] @ e_conj)
-            partners = np.argmax(mags, axis=2)
-            peaks = np.take_along_axis(mags, partners[:, :, np.newaxis], axis=2)
-            # each peak is squared by Python's float pow, which can round
-            # differently from the array square; this keeps the result bit-equal
-            # to the row-by-row test in tests/test_engine_reference.py
-            peaks = np.array([m**2 for m in peaks.ravel().tolist()]).reshape(partners.shape)
-            off = np.sqrt(np.maximum(np.sum(mags**2, axis=2) - peaks, 0.0))
-            partners = partners.tolist()
-            for n, k in zip(*(axis.tolist() for axis in np.nonzero(off <= _PAIR_TOL))):
-                row = ids[lo + n]
-                union("PAIRING", row["S"][k], row["E"][partners[n][k]])
+        for row, partner in zip(ids, partners.tolist()):
+            for s_id, k in zip(row["S"], partner):
+                union("PAIRING", s_id, row["E"][k])
 
     for rule, enabled, side, sub in (
         ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, "E"),

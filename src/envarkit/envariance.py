@@ -18,8 +18,10 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis
 from .schmidt import DEGENERACY_TOL, degeneracy_blocks, schmidt
 from .states import (
+    _BASIS_TOL,
     BipartiteState,
     LocalUnitary,
+    _orthonormality_defect,
     apply_env,
     apply_system,
     equal_up_to_global_phase,
@@ -27,7 +29,6 @@ from .states import (
 
 ENVAR_TOL = 1e-9
 
-_BASIS_TOL = 1e-10
 _RANK_CUTOFF = 1e-12
 
 
@@ -49,14 +50,29 @@ def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
     vecs = np.asarray(basis, dtype=complex)
     if vecs.ndim != 2:
         raise NonOrthonormalBasis(f"basis must be a 2-d column block, got shape {vecs.shape}")
-    gram = vecs.conj().T @ vecs
-    defect = float(np.max(np.abs(gram - np.eye(vecs.shape[1]))))
+    defect = _orthonormality_defect(vecs)
     if defect > _BASIS_TOL:
         raise NonOrthonormalBasis(f"basis columns deviate from orthonormality by {defect:.3g}")
-    for idx in indices:
-        if not 1 <= idx <= vecs.shape[1]:
-            raise IndexOutOfRange(f"basis index {idx} outside 1..{vecs.shape[1]}")
+    _check_indices(indices, vecs.shape[1])
     return vecs
+
+
+def _check_indices(indices: Iterable[int], n: int) -> None:
+    for idx in indices:
+        if not 1 <= idx <= n:
+            raise IndexOutOfRange(f"basis index {idx} outside 1..{n}")
+
+
+def _check_swap(i: int, j: int) -> None:
+    if i == j:
+        raise IndexOutOfRange("swap indices must differ")
+
+
+def _check_phase(indices: Sequence[int], betas: Sequence[float]) -> None:
+    if len(indices) != len(betas):
+        raise DimensionMismatch(f"{len(indices)} indices but {len(betas)} phases")
+    if len(set(indices)) != len(indices):
+        raise IndexOutOfRange("phase indices must be distinct")
 
 
 def phase_transform(
@@ -66,10 +82,7 @@ def phase_transform(
 
     Identity on the orthogonal complement of the selected vectors.
     """
-    if len(indices) != len(betas):
-        raise DimensionMismatch(f"{len(indices)} indices but {len(betas)} phases")
-    if len(set(indices)) != len(indices):
-        raise IndexOutOfRange("phase indices must be distinct")
+    _check_phase(indices, betas)
     vecs = _checked_basis(basis, indices)
     mat = np.eye(vecs.shape[0], dtype=complex)
     for idx, beta in zip(indices, betas):
@@ -80,8 +93,7 @@ def phase_transform(
 
 def swap_transform(i: int, j: int, basis) -> LocalUnitary:
     """Self-inverse unitary exchanging basis vectors ``i`` and ``j`` (1-based)."""
-    if i == j:
-        raise IndexOutOfRange("swap indices must differ")
+    _check_swap(i, j)
     vecs = _checked_basis(basis, (i, j))
     vi, vj = vecs[:, i - 1], vecs[:, j - 1]
     mat = np.eye(vecs.shape[0], dtype=complex)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -100,13 +101,16 @@ def fine_grain(weights: RationalWeights, n: int) -> FineGrainedState:
         raise WeightMismatch(f"{len(weights.numerators)} weights cannot fill {n} branches")
     m_total = weights.denominator
     amps = np.zeros((n, m_total), dtype=complex)
-    branch_map: list[tuple[int, ...]] = []
-    offset = 0
-    for k, m_k in enumerate(weights.numerators):
-        amps[k, offset : offset + m_k] = 1.0 / np.sqrt(m_total)
-        branch_map.append(tuple(range(offset + 1, offset + m_k + 1)))
-        offset += m_k
-    return FineGrainedState(make_state(amps), tuple(branch_map))
+    branch_map = _branch_blocks(weights.numerators)
+    for k, block in enumerate(branch_map):
+        amps[k, block[0] - 1 : block[-1]] = 1.0 / np.sqrt(m_total)
+    return FineGrainedState(make_state(amps), branch_map)
+
+
+def _branch_blocks(numerators: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Consecutive 1-based environment slots of each branch, ``m_k`` of them."""
+    ends = accumulate(numerators)
+    return tuple(tuple(range(end - m + 1, end + 1)) for m, end in zip(numerators, ends))
 
 
 @lru_cache(maxsize=64)
@@ -138,9 +142,8 @@ def born_via_counting(weights: RationalWeights) -> list[Fraction]:
     reading squared coefficients: branch k aggregates the ``1/M`` shares of
     the sub-branches listed in its fine-graining block.
     """
-    fine = fine_grain(weights, len(weights.numerators))
     _, _, sub_probs = equal_branch_derivation(weights.denominator)
     return [
         sum((sub_probs[j - 1] for j in block), Fraction(0))
-        for block in fine.branch_map
+        for block in _branch_blocks(weights.numerators)
     ]

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonOrthonormalBasis, NotNormalized, ParseError
+from .states import _BASIS_TOL, _orthonormality_defect
 
 AUDIT_TOL = 1e-9
-_BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class BasisSample:
         vecs = np.array(self.vectors, dtype=complex)
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1] or vecs.shape[0] < 2:
             raise DimensionMismatch(f"basis must be square with dim >= 2, got shape {vecs.shape}")
-        defect = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[0]))))
+        defect = _orthonormality_defect(vecs)
         if defect > _BASIS_TOL:
             raise NonOrthonormalBasis(f"basis deviates from orthonormality by {defect:.3g}")
         vecs.setflags(write=False)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonOrthonormalBasis, NotNormalized, ParseError
-from .states import BipartiteState, _fmt17, make_state, reduced_density_system
+from .states import BipartiteState, _fmt17, _orthonormality_defect, _rows_from_json, _rows_json
+from .states import make_state, reduced_density_system
 
 SCHMIDT_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -49,8 +50,7 @@ class SchmidtDecomposition:
         if abs(float(np.sum(lam**2)) - 1.0) > 1e-9:
             raise NotNormalized("squared coefficients must sum to 1 within 1e-9")
         for name, block in (("system_vectors", svecs), ("env_vectors", evecs)):
-            gram = block.conj().T @ block
-            if np.max(np.abs(gram - np.eye(r))) > 1e-9:
+            if _orthonormality_defect(block) > 1e-9:
                 raise NonOrthonormalBasis(f"{name} columns are not orthonormal within 1e-9")
         for name, arr in (("coefficients", lam), ("system_vectors", svecs), ("env_vectors", evecs)):
             arr.setflags(write=False)
@@ -128,20 +128,12 @@ def degeneracy_blocks(
 # row per branch vector and the same [re, im] cell convention as state files.
 # ---------------------------------------------------------------------------
 
-def _vecs_to_json(block: np.ndarray) -> str:
-    rows = []
-    for k in range(block.shape[1]):
-        cells = ", ".join(f"[{_fmt17(c.real)}, {_fmt17(c.imag)}]" for c in block[:, k])
-        rows.append(f"[{cells}]")
-    return "[%s]" % ", ".join(rows)
-
-
 def decomposition_to_json(decomposition: SchmidtDecomposition) -> str:
     lam = ", ".join(_fmt17(v) for v in decomposition.coefficients)
     return '{"lambda": [%s], "s_vecs": %s, "e_vecs": %s}' % (
         lam,
-        _vecs_to_json(decomposition.system_vectors),
-        _vecs_to_json(decomposition.env_vectors),
+        _rows_json(decomposition.system_vectors.T),
+        _rows_json(decomposition.env_vectors.T),
     )
 
 
@@ -152,12 +144,8 @@ def decomposition_from_json(text: str) -> SchmidtDecomposition:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         lam = np.array(obj["lambda"], dtype=float)
-        svecs = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in obj["s_vecs"]], dtype=complex
-        ).T
-        evecs = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in obj["e_vecs"]], dtype=complex
-        ).T
+        svecs = _rows_from_json(obj["s_vecs"]).T
+        evecs = _rows_from_json(obj["e_vecs"]).T
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed decomposition document: {exc}") from exc
     return SchmidtDecomposition(lam, svecs, evecs)

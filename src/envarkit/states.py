@@ -28,11 +28,17 @@ if TYPE_CHECKING:
 
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
+_BASIS_TOL = 1e-10
 
 
 def _fmt17(x: float) -> str:
     """Render a float with 17 significant digits (lossless round trip)."""
     return format(float(x), ".17g")
+
+
+def _orthonormality_defect(block: np.ndarray) -> float:
+    """``max |B†B - I|`` over the columns of ``block``."""
+    return float(np.max(np.abs(block.conj().T @ block - np.eye(block.shape[1]))))
 
 
 def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
@@ -110,7 +116,7 @@ class LocalUnitary:
         mat = _as_complex_array(self.mat, 2, "unitary matrix")
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got shape {mat.shape}")
-        defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+        defect = _orthonormality_defect(mat)
         if defect > UNITARY_TOL:
             raise NotUnitary(f"U†U deviates from identity by {defect:.3g}")
         object.__setattr__(self, "mat", mat)
@@ -215,16 +221,21 @@ def premeasure(state: BipartiteState, decomposition: "SchmidtDecomposition") -> 
 # row-major system-first, floats written with 17 significant digits.
 # ---------------------------------------------------------------------------
 
-def state_to_json(state: BipartiteState) -> str:
-    rows = []
-    for row in state.amps:
-        cells = ", ".join(f"[{_fmt17(c.real)}, {_fmt17(c.imag)}]" for c in row)
-        rows.append(f"[{cells}]")
-    return '{"dim_s": %d, "dim_e": %d, "amps": [%s]}' % (
-        state.dim_s,
-        state.dim_e,
-        ", ".join(rows),
+def _rows_json(mat: np.ndarray) -> str:
+    """The rows of ``mat`` as a JSON list of ``[re, im]`` cell lists."""
+    return "[%s]" % ", ".join(
+        "[%s]" % ", ".join(f"[{_fmt17(c.real)}, {_fmt17(c.imag)}]" for c in row) for row in mat
     )
+
+
+def _rows_from_json(rows) -> np.ndarray:
+    """Matrix from a JSON list of rows of ``[re, im]`` cells."""
+    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+
+
+def state_to_json(state: BipartiteState) -> str:
+    amps = _rows_json(state.amps)
+    return '{"dim_s": %d, "dim_e": %d, "amps": %s}' % (state.dim_s, state.dim_e, amps)
 
 
 def state_from_json(text: str) -> BipartiteState:
@@ -241,10 +252,7 @@ def state_from_json(text: str) -> BipartiteState:
     if any(type(d) is not int or d < 1 for d in (dim_s, dim_e)):
         raise ParseError("dim_s and dim_e must be positive integers")
     try:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in amps],
-            dtype=complex,
-        )
+        arr = _rows_from_json(amps)
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"amps must be a matrix of [re, im] pairs: {exc}") from exc
     if arr.ndim != 2 or arr.shape != (dim_s, dim_e):

@@ -92,6 +92,22 @@ class TestEnvarianceCommand:
         assert report["counter"] is None
         assert report["residual"] > 0.3
 
+    def test_negative_verdict_runs_the_oracle_once(self, capsys, monkeypatch, uneven_file):
+        real = sys.modules["envarkit.envariance"].oracle_best_counter
+        calls = []
+
+        def counting(state, u_s):
+            calls.append(state)
+            return real(state, u_s)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "envarkit" and getattr(module, "oracle_best_counter", None) is real:
+                monkeypatch.setattr(module, "oracle_best_counter", counting)
+        code, out, _ = run(capsys, "envariance", uneven_file, "swap:1,2")
+        report = json.loads(out)
+        assert code == 1 and report["oracle_residual"] == report["residual"] > 0.3
+        assert len(calls) == 1
+
     def test_bell_phase(self, capsys, bell_file):
         code, out, _ = run(capsys, "envariance", bell_file, "phase:0.7,-0.3")
         assert code == 0

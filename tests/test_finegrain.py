@@ -107,6 +107,16 @@ class TestBornViaCounting:
         _, store, _ = equal_branch_derivation(3)
         assert len(store.trace) > 0
 
+    def test_builds_no_state_once_the_grain_is_derived(self, monkeypatch):
+        equal_branch_derivation(6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("born_via_counting built a state")
+
+        monkeypatch.setattr("envarkit.finegrain.make_state", refuse)
+        probs = born_via_counting(RationalWeights((1, 2, 3), 6))
+        assert probs == [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
+
     def test_sum_is_exactly_one(self):
         for nums, den in (((1, 2, 3), 6), ((7, 9), 16), ((1,), 1)):
             assert sum(born_via_counting(RationalWeights(nums, den))) == 1
