@@ -21,19 +21,31 @@ argument lives.  With ``psi = S diag(lambda) E^T``, every tag permutes or
 rephases columns of ``S`` or ``E`` and is the identity outside them, so
 each expr's state is exactly ``S m E^T``, with ``m`` the r x r matrix
 ``diag(lambda)`` whose rows (system tags) and columns (environment tags)
-are permuted and rephased.  Hence:
+are permuted and rephased.  ``m`` has one nonzero entry per row, so the
+engine keeps it as two length-r arrays: ``col[k]``, the column of row k's
+entry, and ``val[k]``, its value.  Swaps permute them and phases multiply
+``val``.  Hence:
 
-* each row of ``m`` has one nonzero entry, so ``PAIRING`` pairs ``S:k`` with
-  the column of that entry, a lookup instead of a tolerance test;
+* ``PAIRING`` pairs ``S:k`` with ``E:col[k]``, a lookup instead of a
+  tolerance test;
 * ``S`` and ``E`` have orthonormal columns, so ``||S (m_i - m_j) E^T||`` is
-  ``||m_i - m_j||`` and ``STATE_FUNCTION`` compares r x r matrices.
+  ``||m_i - m_j||``, which ``STATE_FUNCTION`` reads off ``col`` and ``val``
+  in O(r).
+
+Terms are ints in structural order, ``row * 2r + side * r + (k - 1)`` for
+branch k on side S (0) or E (1) of the row-th distinct expr, and the
+union-find and its trace hold only those ints.  ``generate_terms`` returns
+its terms as a lazy sequence, and a store builds each ``ProbTerm`` and
+``MergeRecord`` once, when a caller first reads it.
 
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -111,10 +123,10 @@ class StateExpr:
     base: str = "psi"
 
     def then(self, transform: Transform) -> "StateExpr":
-        return replace(self, transforms=self.transforms + (transform,))
+        return StateExpr(self.transforms + (transform,), self.base)
 
     def parent(self) -> "StateExpr":
-        return replace(self, transforms=self.transforms[:-1])
+        return StateExpr(self.transforms[:-1], self.base)
 
     def __str__(self) -> str:
         parts = [str(t) for t in reversed(self.transforms)] + [self.base]
@@ -209,6 +221,83 @@ def born_value(
 
 
 # ---------------------------------------------------------------------------
+# Lazy sequences of terms and merge records
+# ---------------------------------------------------------------------------
+
+class _Lazy(Sequence):
+    """Read-only sequence whose items are built on their first read and kept.
+
+    It compares equal to any sequence with equal items, and ``+`` appends
+    another sequence to it as a tuple.
+    """
+
+    _built: dict
+
+    def _make(self, n: int):
+        raise NotImplementedError
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(len(self)))]
+        size = len(self)
+        if not -size <= n < size:
+            raise IndexError(f"index {n} outside a sequence of {size}")
+        n %= size
+        item = self._built.get(n)
+        if item is None:
+            item = self._built[n] = self._make(n)
+        return item
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + tuple(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class _Terms(_Lazy):
+    """Every term ``p(X:k; expr)`` over some exprs, in structural order.
+
+    Item ``row * 2r + side * r + (k - 1)`` is branch ``k`` on side ``"SE"[side]``
+    of ``exprs[row]``; this is the order ``generate_terms`` emits and the id
+    ``saturate`` gives each term.
+    """
+
+    def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0) -> None:
+        self.exprs = exprs
+        self.rank = rank
+        self._built: dict[int, ProbTerm] = {}
+        self._rows: dict[StateExpr, int] | None = None
+
+    def __len__(self) -> int:
+        return 2 * self.rank * len(self.exprs)
+
+    def _make(self, n: int) -> ProbTerm:
+        r = self.rank
+        return ProbTerm("SE"[n // r % 2], n % r + 1, self.exprs[n // (2 * r)])
+
+    def position(self, term: ProbTerm) -> int | None:
+        """Item number of ``term`` (its first, if exprs repeat), or ``None``."""
+        if self._rows is None:
+            self._rows = {}
+            for row, expr in enumerate(self.exprs):
+                self._rows.setdefault(expr, row)
+        row = self._rows.get(term.state)
+        branches = range(1, self.rank + 1)
+        if row is None or term.index not in branches:
+            return None
+        side = "SE".index(term.subsystem)
+        return (2 * row + side) * self.rank + branches.index(term.index)
+
+
+# ---------------------------------------------------------------------------
 # Term population
 # ---------------------------------------------------------------------------
 
@@ -216,7 +305,7 @@ def born_value(
 class TermSet:
     """Terms for one derivation run plus the context needed to replay them."""
 
-    terms: tuple[ProbTerm, ...]
+    terms: Sequence[ProbTerm]
     exprs: tuple[StateExpr, ...]
     branches: tuple[int, ...]
     base_state: BipartiteState
@@ -238,9 +327,11 @@ def generate_terms(
 
     For each swap pair ``(i, j)`` the transcript visits the base state, the
     state after the system swap, and the state after the environment
-    counterswap; terms cover both subsystems and every branch at each stop.
+    counterswap; terms cover both subsystems and every branch at each stop,
+    in structural order (``S`` then ``E``, branches ascending, per expr).
     Swapped branches must carry equal coefficients, otherwise swapping has
-    no claim to preserve the probability bookkeeping.
+    no claim to preserve the probability bookkeeping.  The terms are a lazy
+    sequence: each ``ProbTerm`` is built on its first read.
     """
     dec = decomposition if decomposition is not None else schmidt(state)
     lam = dec.coefficients
@@ -259,11 +350,8 @@ def generate_terms(
         swapped = StateExpr().then(SystemSwap(i, j))
         exprs.append(swapped)
         exprs.append(swapped.then(EnvSwap(i, j)))
-    branches = tuple(range(1, r + 1))
-    terms = tuple(
-        ProbTerm(sub, k, expr) for expr in exprs for sub in ("S", "E") for k in branches
-    )
-    return TermSet(terms, tuple(exprs), branches, state, dec)
+    exprs = tuple(exprs)
+    return TermSet(_Terms(exprs, r), exprs, tuple(range(1, r + 1)), state, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -287,95 +375,155 @@ def _root(parent: list[int], node: int) -> int:
     return root
 
 
+class _Trace(_Lazy):
+    """A store's effective merges as ``MergeRecord``s, in the order made."""
+
+    def __init__(self, store: "EqualityStore") -> None:
+        self._store = store
+        self._built: dict[int, MergeRecord] = {}
+
+    def __len__(self) -> int:
+        return len(self._store._rules)
+
+    def _make(self, n: int) -> MergeRecord:
+        store = self._store
+        left, right = store._term(store._lefts[n]), store._term(store._rights[n])
+        return MergeRecord(store._rules[n], left, right)
+
+
 class EqualityStore:
     """Union-find over probability terms recording every effective merge.
 
     Classes only ever grow; the trace lists exactly the merges that changed
     the partition, so replaying it reproduces the partition and the merge
-    graph is a forest (paths between terms are unique).  Terms are interned
-    as ids in insertion order and every class is rooted at its smallest id,
-    the term added earliest.
+    graph is a forest (paths between terms are unique).  Terms are ids in
+    insertion order and every class is rooted at its smallest id, the term
+    added earliest.  Built from ``generate_terms``' lazy terms, the store
+    numbers them structurally (repeated exprs add nothing) without building
+    them; terms added one by one come after.  The union-find and the trace
+    hold ids only: ``trace``, ``classes()``, ``find()`` and
+    ``minimal_trace()`` build each ``ProbTerm`` and ``MergeRecord`` they
+    return once, on first read.
     """
 
     def __init__(self, terms=()) -> None:
-        self._ids: dict[ProbTerm, int] = {}
-        self._terms: list[ProbTerm] = []
-        self._parent: list[int] = []
-        self.trace: list[MergeRecord] = []
-        for term in terms:
-            self.add(term)
+        lazy = isinstance(terms, _Terms)
+        self._grid = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank) if lazy else _Terms()
+        self._extra: list[ProbTerm] = []
+        self._extra_ids: dict[ProbTerm, int] = {}
+        self._parent = list(range(len(self._grid)))
+        self._rules: list[str] = []
+        self._lefts = array("q")
+        self._rights = array("q")
+        self.trace: Sequence[MergeRecord] = _Trace(self)
+        if not lazy:
+            for term in terms:
+                self.add(term)
 
     def add(self, term: ProbTerm) -> None:
-        self._intern(term)
+        if self._lookup(term) is None:
+            self._extra_ids[term] = len(self._parent)
+            self._extra.append(term)
+            self._parent.append(len(self._parent))
 
-    def _intern(self, term: ProbTerm) -> int:
-        """Id of ``term``, registering it first if new; hashes the term once."""
-        new = len(self._terms)
-        tid = self._ids.setdefault(term, new)
-        if tid == new:
-            self._terms.append(term)
-            self._parent.append(new)
-        return tid
+    def _lookup(self, term: ProbTerm) -> int | None:
+        tid = self._grid.position(term)
+        return self._extra_ids.get(term) if tid is None else tid
 
     def _id(self, term: ProbTerm) -> int:
-        try:
-            return self._ids[term]
-        except KeyError:
-            raise UnknownTerm(str(term)) from None
+        tid = self._lookup(term)
+        if tid is None:
+            raise UnknownTerm(str(term))
+        return tid
 
-    def _union(self, rule: str, left: int, right: int) -> bool:
-        ra, rb = _root(self._parent, left), _root(self._parent, right)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self.trace.append(MergeRecord(rule, self._terms[left], self._terms[right]))
-        return True
+    def _term(self, tid: int) -> ProbTerm:
+        size = len(self._grid)
+        return self._grid[tid] if tid < size else self._extra[tid - size]
+
+    def _grid_ids(self, exprs: tuple[StateExpr, ...], rank: int) -> np.ndarray:
+        """Store id of every structural term id over ``exprs``; each term is mapped once."""
+        grid = self._grid
+        if grid.rank == rank and grid.exprs == exprs:
+            return np.arange(len(grid))
+        wanted = _Terms(exprs, rank)
+        ids = np.full(len(wanted), -1)
+        for tid in range(len(self._parent)):
+            n = wanted.position(self._term(tid))
+            if n is not None:
+                ids[n] = tid
+        missing = np.flatnonzero(ids < 0)
+        if missing.size:
+            raise UnknownTerm(str(wanted[int(missing[0])]))
+        return ids
+
+    def _unite(self, rule: str, lefts, rights) -> int:
+        """Union ``lefts[n]`` with ``rights[n]`` in order; record and count the effective ones."""
+        parent = self._parent
+        merged_left: list[int] = []
+        merged_right: list[int] = []
+        for left, right in zip(lefts, rights):
+            # most terms sit at most one step below their root
+            ra = parent[left]
+            if parent[ra] != ra:
+                ra = _root(parent, ra)
+            rb = parent[right]
+            if parent[rb] != rb:
+                rb = _root(parent, rb)
+            if ra == rb:
+                continue
+            if rb < ra:
+                parent[ra] = rb
+            else:
+                parent[rb] = ra
+            merged_left.append(left)
+            merged_right.append(right)
+        self._lefts.extend(merged_left)
+        self._rights.extend(merged_right)
+        self._rules.extend([rule] * len(merged_left))
+        return len(merged_left)
 
     def find(self, term: ProbTerm) -> ProbTerm:
-        return self._terms[_root(self._parent, self._id(term))]
+        return self._term(_root(self._parent, self._id(term)))
 
     def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> bool:
         """Union the two classes; record and report whether anything changed."""
-        return self._union(rule, self._id(left), self._id(right))
+        return self._unite(rule, [self._id(left)], [self._id(right)]) > 0
 
     def same_class(self, left: ProbTerm, right: ProbTerm) -> bool:
         return _root(self._parent, self._id(left)) == _root(self._parent, self._id(right))
 
     def classes(self) -> list[list[ProbTerm]]:
         grouped: dict[int, list[ProbTerm]] = {}
-        for node, term in enumerate(self._terms):
-            grouped.setdefault(_root(self._parent, node), []).append(term)
+        for node in range(len(self._parent)):
+            grouped.setdefault(_root(self._parent, node), []).append(self._term(node))
         return list(grouped.values())
 
     def minimal_trace(self, left: ProbTerm, right: ProbTerm) -> list[MergeRecord]:
         """Shortest chain of recorded merges connecting two equal terms."""
-        self._id(left)
-        self._id(right)
-        if left == right:
+        start, goal = self._id(left), self._id(right)
+        if start == goal:
             return []
-        adjacency: dict[ProbTerm, list[tuple[MergeRecord, ProbTerm]]] = {}
-        for record in self.trace:
-            adjacency.setdefault(record.left, []).append((record, record.right))
-            adjacency.setdefault(record.right, []).append((record, record.left))
-        came_from: dict[ProbTerm, tuple[ProbTerm, MergeRecord]] = {left: (left, None)}
-        queue = deque([left])
+        adjacency: dict[int, list[tuple[int, int]]] = {}
+        for n, (a, b) in enumerate(zip(self._lefts, self._rights)):
+            adjacency.setdefault(a, []).append((n, b))
+            adjacency.setdefault(b, []).append((n, a))
+        came_from: dict[int, tuple[int, int]] = {start: (start, -1)}
+        queue = deque([start])
         while queue:
             node = queue.popleft()
-            if node == right:
+            if node == goal:
                 break
-            for record, other in adjacency.get(node, ()):
+            for n, other in adjacency.get(node, ()):
                 if other not in came_from:
-                    came_from[other] = (node, record)
+                    came_from[other] = (node, n)
                     queue.append(other)
-        if right not in came_from:
+        if goal not in came_from:
             raise UnknownTerm(f"no merge chain connects {left} and {right}")
         path: list[MergeRecord] = []
-        node = right
-        while node != left:
-            node, record = came_from[node]
-            path.append(record)
+        node = goal
+        while node != start:
+            node, n = came_from[node]
+            path.append(self.trace[n])
         path.reverse()
         return path
 
@@ -398,41 +546,91 @@ def _direction(size: int) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _frame_states(
+def _frames(
     exprs, dec: SchmidtDecomposition
-) -> tuple[dict[StateExpr, int], list[int | None], np.ndarray, np.ndarray]:
-    """Each distinct expr's state as an r x r matrix in the base Schmidt bases.
+) -> tuple[tuple[StateExpr, ...], list[int | None], np.ndarray, np.ndarray]:
+    """Each distinct expr's Schmidt-frame matrix as a permutation and a phase.
 
-    Returns each distinct expr's row in first-occurrence order, each row's
-    parent row (``None`` for the base or an unlisted parent), the ``(E, r,
-    r)`` stack of matrices, and each row's partner column: the environment
-    branch of the one nonzero entry in each system branch's row.  A
-    malformed tag raises what ``replay`` raises for it.
+    The r x r matrix ``m`` of an expr (its state is ``S m E^T``) has one
+    nonzero entry per row, so it is kept as two ``(E, r)`` arrays: ``col[n,
+    k]`` is the column of row ``k``'s entry for expr ``n`` and ``val[n, k]``
+    its value.  A system swap permutes both at the swapped rows, an
+    environment swap exchanges two columns, and a phase multiplies ``val``.
+    Returns the distinct exprs in first-occurrence order, each one's parent
+    row (``None`` for the base or an unlisted parent), ``col`` and ``val``.
+    A malformed tag raises what ``replay`` raises for it.
     """
     rows: dict[StateExpr, int] = {}
     for expr in exprs:
         rows.setdefault(expr, len(rows))
     parents = [rows.get(expr.parent()) if expr.transforms else None for expr in rows]
     r = dec.rank
-    stack = np.zeros((len(rows), r, r), dtype=complex)
-    stack[:, range(r), range(r)] = dec.coefficients
-    for expr, m in zip(rows, stack):
+    lam = dec.coefficients.tolist()
+    cols, vals = [], []
+    for expr in rows:
+        col, val = list(range(r)), list(lam)
         for t in expr.transforms:
-            # system tags act on the rows, environment tags on the columns
-            side = m if isinstance(t, _SYSTEM_SIDE) else m.T
             if isinstance(t, (SystemSwap, EnvSwap)):
                 _check_swap(t.i, t.j)
                 _check_indices((t.i, t.j), r)
-                side[[t.i - 1, t.j - 1]] = side[[t.j - 1, t.i - 1]]
+                a, b = t.i - 1, t.j - 1
+                if isinstance(t, EnvSwap):
+                    a, b = col.index(a), col.index(b)  # the rows holding columns i and j
+                else:
+                    val[a], val[b] = val[b], val[a]
+                col[a], col[b] = col[b], col[a]
             elif isinstance(t, (SystemPhase, EnvPhase)):
                 _check_phase(t.indices, t.betas)
                 _check_indices(t.indices, r)
-                side[[k - 1 for k in t.indices]] *= np.exp(1j * np.array(t.betas, float))[:, None]
+                system = isinstance(t, SystemPhase)
+                for k, phase in zip(t.indices, np.exp(1j * np.array(t.betas, float))):
+                    n = k - 1 if system else col.index(k - 1)
+                    val[n] *= phase
             else:
                 raise TypeError(f"unknown transform tag {t!r}")
-    if not np.isfinite(stack).all():
+        cols.append(col)
+        vals.append(val)
+    val = np.array(vals, dtype=complex).reshape(len(rows), r)
+    if not np.isfinite(val).all():
         raise ParseError("phases must be finite (no NaN/Inf entries)")
-    return rows, parents, stack, np.argmax(stack != 0, axis=2)
+    return tuple(rows), parents, np.array(cols, dtype=int).reshape(len(rows), r), val
+
+
+def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs ``(i, j)``, ``i < j``, of exprs that ``STATE_FUNCTION`` merges, in order.
+
+    Only pairs whose projections on a fixed unit vector differ by at most
+    ``STATE_EQ_TOL`` plus a rounding slack are norm-tested, in (i, j) order,
+    and a pair whose exprs are already linked through earlier pairs is
+    skipped.  The norm of ``m_i - m_j`` is read off the frames in O(r): a row
+    whose entries share a column adds ``|v_i - v_j|^2``, any other row
+    ``|v_i|^2 + |v_j|^2``.
+    """
+    count, r = col.shape
+    size = r * r
+    # |sigma_i - sigma_j| <= ||m_i - m_j||; the slack covers the rounding of
+    # both projections, each within size * eps for unit-norm states
+    sigma = (val.real * _direction(size)[np.arange(r) * r + col]).sum(axis=1)
+    order = np.argsort(sigma, kind="stable")
+    ranked = sigma[order]
+    bound = STATE_EQ_TOL + 4 * size * np.finfo(float).eps
+    reach = np.searchsorted(ranked, ranked + bound, side="right").tolist()
+    order = order.tolist()
+    candidates = sorted(
+        (min(i, j), max(i, j)) for n, i in enumerate(order) for j in order[n + 1 : reach[n]]
+    )
+    link = list(range(count))
+    pairs = []
+    for i, j in candidates:
+        root_i, root_j = _root(link, i), _root(link, j)
+        if root_i == root_j:
+            continue  # every (sub, k) pair of terms already shares a class
+        vi, vj = val[i], val[j]
+        rows = np.where(col[i] == col[j], abs(vi - vj) ** 2, abs(vi) ** 2 + abs(vj) ** 2)
+        if float(np.sqrt(rows.sum())) <= STATE_EQ_TOL:
+            pairs.append((i, j))
+            link[root_j] = root_i
+    return pairs
 
 
 def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
@@ -440,88 +638,56 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
 
     Each rule's applicability depends only on the exprs' states, never on
     the current partition, so a single deterministic sweep saturates.  The
-    states are Schmidt-frame matrices (``_frame_states``), exact for every
-    tag, and every distinct expr is visited once:
+    states are Schmidt-frame permutations and phases (``_frames``), exact for
+    every tag, and every distinct expr is visited once.  Every rule works on
+    structural term ids, ``row * 2r + side * r + (k - 1)`` over the distinct
+    exprs, which the store maps to its own ids once: for ``generate_terms``'
+    lazy terms they are the same ids, and a hand-built term set's terms are
+    looked up.  A repeated expr shares its first occurrence's ids, so its
+    merges could never change the partition.
 
-    * Terms are interned in one pass that also fills the ``(sub, k, expr)
-      -> id`` table every rule merges through.  A repeated expr shares its
-      first occurrence's ids, so its merges could never change the partition
-      and the rules visit distinct exprs only.
-    * ``PAIRING`` unions ``S:k`` with ``E:partner[k]``.  Each row of a frame
+    * ``PAIRING`` unions ``S:k`` with ``E:col[k]``.  Each row of a frame
       matrix holds one nonzero entry, so every system branch has exactly one
       partner and no threshold is needed.
-    * ``STATE_FUNCTION`` norm-tests only pairs whose projections on a fixed
-      unit vector differ by at most ``STATE_EQ_TOL`` plus a rounding slack.
-      A projection difference never exceeds the norm difference, so every
-      dropped pair would have failed the norm test; the rest run in (i, j)
-      order.  A pair whose exprs are already linked through earlier pairs is
-      skipped, since all its terms already share classes.  The frame norm
-      equals the dense one, since the Schmidt bases are orthonormal.
+    * ``ENV_LOCALITY`` (``SYS_LOCALITY``) unions each environment (system)
+      term of an expr whose last tag acts on the system (environment) with
+      the same term of its parent expr, when the parent is listed.
+    * ``STATE_FUNCTION`` unions all terms of the expr pairs that
+      ``_state_function_pairs`` finds within ``STATE_EQ_TOL``.  The frame
+      norm equals the dense one, since the Schmidt bases are orthonormal.
     """
-    rows, parents, stack, partners = _frame_states(term_set.exprs, term_set.decomposition)
-    width = len(term_set.branches)
-    slot = {k: n for n, k in enumerate(term_set.branches)}
-    table = {expr: {"S": [None] * width, "E": [None] * width} for expr in rows}
+    exprs, parents, col, val = _frames(term_set.exprs, term_set.decomposition)
+    r = col.shape[1]
+    width = 2 * r
+    store = EqualityStore(term_set.terms)
+    ids = store._grid_ids(exprs, r)
 
-    store = EqualityStore()
-    intern = store._intern
-    state = slots = None
-    for term in term_set.terms:
-        tid = intern(term)
-        if term.state is not state:
-            state = term.state
-            slots = table.get(state)
-        n = slot.get(term.index)
-        if slots is not None and n is not None:
-            slots[term.subsystem][n] = tid
-    for expr, slots in table.items():
-        for sub in ("S", "E"):
-            if None in slots[sub]:
-                k = term_set.branches[slots[sub].index(None)]
-                raise UnknownTerm(str(ProbTerm(sub, k, expr)))
-    ids = list(table.values())
-    union = store._union
+    def unite(rule: str, lefts: np.ndarray, rights: np.ndarray) -> None:
+        store._unite(rule, ids[lefts].ravel().tolist(), ids[rights].ravel().tolist())
 
+    first = np.arange(len(exprs))[:, None] * width  # each expr's S:1
+    branch = np.arange(r)
     if rules.pairing:
-        for row, partner in zip(ids, partners.tolist()):
-            for s_id, k in zip(row["S"], partner):
-                union("PAIRING", s_id, row["E"][k])
+        unite("PAIRING", first + branch, first + r + col)
 
-    for rule, enabled, side, sub in (
-        ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, "E"),
-        ("SYS_LOCALITY", rules.sys_locality, _ENV_SIDE, "S"),
+    for rule, enabled, side, offset in (
+        ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, r),
+        ("SYS_LOCALITY", rules.sys_locality, _ENV_SIDE, 0),
     ):
         if not enabled:
             continue
-        for expr, row in rows.items():
-            parent = parents[row]
-            if parent is not None and isinstance(expr.transforms[-1], side):
-                for child_id, parent_id in zip(ids[row][sub], ids[parent][sub]):
-                    union(rule, child_id, parent_id)
+        children = [
+            n for n, expr in enumerate(exprs)
+            if parents[n] is not None and isinstance(expr.transforms[-1], side)
+        ]
+        child = np.array(children, dtype=int)[:, None]
+        parent = np.array([parents[n] for n in children], dtype=int)[:, None]
+        unite(rule, child * width + offset + branch, parent * width + offset + branch)
 
     if rules.state_function:
-        size = stack[0].size
-        # |sigma_i - sigma_j| <= ||A_i - A_j||; the slack covers the rounding
-        # of both projections, each within size * eps for unit-norm states
-        sigma = stack.reshape(len(rows), size).real @ _direction(size)
-        order = np.argsort(sigma, kind="stable")
-        ranked = sigma[order]
-        bound = STATE_EQ_TOL + 4 * size * np.finfo(float).eps
-        reach = np.searchsorted(ranked, ranked + bound, side="right").tolist()
-        order = order.tolist()
-        candidates = sorted(
-            (min(i, j), max(i, j)) for n, i in enumerate(order) for j in order[n + 1 : reach[n]]
-        )
-        link = list(range(len(rows)))
-        for i, j in candidates:
-            root_i, root_j = _root(link, i), _root(link, j)
-            if root_i == root_j:
-                continue  # every (sub, k) pair of terms already shares a class
-            if float(np.linalg.norm(stack[i] - stack[j])) <= STATE_EQ_TOL:
-                for sub in ("S", "E"):
-                    for left, right in zip(ids[j][sub], ids[i][sub]):
-                        union("STATE_FUNCTION", left, right)
-                link[root_j] = root_i
+        pairs = np.array(_state_function_pairs(col, val), dtype=int).reshape(-1, 2)
+        every = np.arange(width)
+        unite("STATE_FUNCTION", pairs[:, 1:] * width + every, pairs[:, :1] * width + every)
 
     return store
 

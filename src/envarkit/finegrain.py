@@ -18,7 +18,7 @@ from math import lcm
 import numpy as np
 
 from .derivation import EqualityStore, RuleSet, TermSet, generate_terms, numeric_probabilities, saturate
-from .errors import NoRationalFit, WeightMismatch
+from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch
 from .states import BipartiteState, make_state
 
 
@@ -113,6 +113,20 @@ def _branch_blocks(numerators: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(end - m + 1, end + 1)) for m, end in zip(numerators, ends))
 
 
+class _Shares(tuple):
+    """The engine's ``1/M`` shares of one grain, kept also as integer numerators over M."""
+
+    numerators: tuple[int, ...]
+
+    def __new__(cls, shares, m_total: int) -> "_Shares":
+        self = super().__new__(cls, shares)
+        scaled = [share * m_total for share in self]
+        if any(s.denominator != 1 for s in scaled):
+            raise IncompleteDerivation(f"the shares of grain {m_total} are not multiples of 1/{m_total}")
+        self.numerators = tuple(s.numerator for s in scaled)
+        return self
+
+
 @lru_cache(maxsize=64)
 def equal_branch_derivation(
     m_total: int,
@@ -124,7 +138,8 @@ def equal_branch_derivation(
     full rule set put every branch term in one class, so each sub-branch
     receives exactly ``1/M``.  Results are cached because they depend only
     on M; the cache holds the 64 most recent grains, enough for every grain
-    of the M <= 32 acceptance sweep to stay resident.
+    of the M <= 32 acceptance sweep to stay resident.  The shares also carry
+    their integer numerators over M, which counting adds.
     """
     state = make_state(np.eye(m_total, dtype=complex) / np.sqrt(m_total))
     swaps = tuple((k, k + 1) for k in range(1, m_total))
@@ -132,7 +147,7 @@ def equal_branch_derivation(
     rules = RuleSet()
     store = saturate(term_set, rules)
     probs = numeric_probabilities(store, state, rules, term_set.decomposition)
-    return term_set, store, tuple(p for _, p in probs)
+    return term_set, store, _Shares((p for _, p in probs), m_total)
 
 
 def born_via_counting(weights: RationalWeights) -> list[Fraction]:
@@ -140,10 +155,13 @@ def born_via_counting(weights: RationalWeights) -> list[Fraction]:
 
     Routes through the derivation engine's equal-branch result rather than
     reading squared coefficients: branch k aggregates the ``1/M`` shares of
-    the sub-branches listed in its fine-graining block.
+    the sub-branches listed in its fine-graining block, summed as integer
+    numerators over M.
     """
-    _, _, sub_probs = equal_branch_derivation(weights.denominator)
+    m_total = weights.denominator
+    _, _, shares = equal_branch_derivation(m_total)
+    numerators = shares.numerators
     return [
-        sum((sub_probs[j - 1] for j in block), Fraction(0))
+        Fraction(sum(numerators[j - 1] for j in block), m_total)
         for block in _branch_blocks(weights.numerators)
     ]

@@ -6,13 +6,16 @@ Draws Haar-rotated two-level, near-degenerate and small-lambda states (with
 ``dim_e`` up to two above the rank) and random swap schedules with repeats,
 saturates each under the full rule set and under every single-rule
 ablation, and counts the runs whose trace or classes differ from
-``reference_saturate``.  The default 6,000 states take minutes, so the sweep
-is not part of the test suite; its file name keeps pytest from collecting it.
+``reference_saturate``.  It exits 1 if any run differs; a state whose Schmidt
+decomposition fails is counted apart and is not a mismatch.  The default
+6,000 states take minutes, so the sweep is not part of the test suite; its
+file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import Counter
 
 import numpy as np
@@ -36,7 +39,7 @@ def draw_spectrum(rng: np.random.Generator, kind: str) -> list[float]:
     return [1.0] * split + [10 ** rng.uniform(-11.5, -10.5)] * (rank - split)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--states", type=int, default=6000)
     parser.add_argument("--seed", type=int, default=0)
@@ -71,7 +74,9 @@ def main() -> None:
             counts[kind]["class_mismatch"] += store.classes() != reference.classes()
     for kind in KINDS:
         print(kind, dict(sorted(counts[kind].items())))
+    mismatches = sum(counts[kind]["trace_mismatch"] + counts[kind]["class_mismatch"] for kind in KINDS)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from envarkit import (
     EnvSwap,
     EqualityStore,
     IncompleteDerivation,
+    MergeRecord,
     ProbTerm,
     RuleSet,
     StateExpr,
@@ -27,6 +29,7 @@ from envarkit import (
     saturate,
     schmidt,
 )
+from envarkit import derivation
 from helpers import bell_state, spectrum_state, uneven_state
 
 S1 = ProbTerm("S", 1, StateExpr())
@@ -104,6 +107,49 @@ class TestSaturation:
         replayed = EqualityStore.from_trace(term_set.terms, store.trace)
         original = {frozenset(map(str, cls)) for cls in store.classes()}
         assert {frozenset(map(str, cls)) for cls in replayed.classes()} == original
+
+    def test_terms_and_records_are_built_only_when_read(self, monkeypatch):
+        built = Counter()
+        post_init = ProbTerm.__post_init__
+
+        def counted_term(term):
+            built["terms"] += 1
+            post_init(term)
+
+        def counted_record(*args):
+            built["records"] += 1
+            return MergeRecord(*args)
+
+        monkeypatch.setattr(ProbTerm, "__post_init__", counted_term)
+        monkeypatch.setattr(derivation, "MergeRecord", counted_record)
+        m = 32
+        term_set = generate_terms(even_state(m), adjacent_swaps(m))
+        store = saturate(term_set, RuleSet())
+        assert len(term_set) == 4 * m * m - 2 * m
+        assert len(store.trace) == len(term_set) - 1
+        assert store.same_class(ProbTerm("S", 1, StateExpr()), ProbTerm("E", m, StateExpr()))
+        assert built == Counter(terms=2)  # only the two query terms
+        trace, classes = list(store.trace), store.classes()
+        assert built == Counter(terms=2 + len(term_set), records=len(trace))
+        # each term and record is built once per store
+        assert list(store.trace) == trace and store.classes() == classes
+        assert store.find(trace[-1].right) is classes[0][0]
+        assert built == Counter(terms=2 + len(term_set), records=len(trace))
+
+    def test_minimal_trace_on_a_hand_built_store(self):
+        a, b, c, d = (ProbTerm("S", k, StateExpr()) for k in range(1, 5))
+        store = EqualityStore([a, b, c])
+        store.add(d)
+        assert store.merge("PAIRING", b, c) and store.merge("custom", d, a)
+        assert not store.merge("PAIRING", c, b)
+        assert store.merge("PAIRING", c, d)
+        assert store.minimal_trace(b, a) == [
+            MergeRecord("PAIRING", b, c),
+            MergeRecord("PAIRING", c, d),
+            MergeRecord("custom", d, a),
+        ]
+        assert [store.find(t) for t in (a, b, c, d)] == [a, a, a, a]
+        assert len(store.trace) == 3
 
 
 class TestNumericProbabilities:

@@ -2,12 +2,15 @@
 
 The reference replays every expr densely and makes every merge attempt every
 rule licenses, on a union-find keyed directly by ``ProbTerm``.  The engine
-works on Schmidt-frame matrices, interns terms and skips state-function pairs
-whose exprs are already linked; it must still record the same effective
-merges, in the same order, and end with the same classes.
+keeps each expr's Schmidt-frame matrix as a permutation and a phase, works
+on structural term ids and skips state-function pairs whose exprs are
+already linked; it must still record the same effective merges, in the same
+order, and end with the same classes.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +19,12 @@ from hypothesis import strategies as st
 
 from envarkit import ProbTerm, RuleSet, generate_terms, make_state, replay, saturate, schmidt
 from envarkit import EnvPhase, EnvSwap, EnvarkitError, StateExpr, SystemPhase, SystemSwap, TermSet
+from envarkit import UnknownTerm
 from envarkit import derivation
 from envarkit.derivation import (
     _ENV_SIDE,
     _SYSTEM_SIDE,
-    _frame_states,
+    _frames,
     RULE_NAMES,
     STATE_EQ_TOL,
     MergeRecord,
@@ -198,6 +202,42 @@ def test_drawn_states_under_every_single_ablation(lams, extra_env, seed, picks):
         assert_engine_matches_reference(term_set, rules)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_hand_built_term_sets_match_the_reference(seed):
+    # Shuffled exprs and terms, repeated exprs and terms, and phase children
+    # (some of which restore their parent's state): the engine maps each term
+    # to its structural id once and must keep the reference's trace, classes
+    # and roots, each root the earliest-added term of its class.
+    rng = np.random.default_rng(seed)
+    rank = 3 + seed % 3
+    state = spectrum_state([1.0] * rank, seed_s=seed, seed_e=seed + 1, dim_e=rank + seed % 2)
+    base = generate_terms(state, [(1, 2), (2, 3), (1, 2)])
+    exprs = list(base.exprs)
+    for n, beta in enumerate(rng.uniform(-3.0, 3.0, 4)):
+        k = 1 + n % rank
+        child = exprs[n].then(SystemPhase((k,), (beta,)))
+        exprs += [child, child.then(EnvPhase((k,), (-beta,))), exprs[n]]
+    exprs = [exprs[i] for i in rng.permutation(len(exprs))]
+    terms = [ProbTerm(sub, k, expr) for expr in exprs for sub in ("S", "E") for k in base.branches]
+    terms += [terms[i] for i in rng.integers(0, len(terms), 7)]
+    terms = tuple(terms[i] for i in rng.permutation(len(terms)))
+    term_set = TermSet(terms, tuple(exprs), base.branches, state, base.decomposition)
+    for rules in RULE_SETS:
+        store, reference = saturate(term_set, rules), reference_saturate(term_set, rules)
+        assert store.trace == reference.trace
+        assert store.classes() == reference.classes()
+        assert [store.find(t) for t in terms] == [reference.find(t) for t in terms]
+
+
+def test_hand_built_term_set_missing_a_term_names_it():
+    base = generate_terms(spectrum_state([1.0, 1.0], seed_s=5, seed_e=6), [(1, 2)])
+    missing = ProbTerm("E", 2, base.exprs[1])
+    terms = tuple(t for t in base.terms if t != missing)
+    term_set = TermSet(terms, base.exprs, base.branches, base.base_state, base.decomposition)
+    with pytest.raises(UnknownTerm, match=re.escape(str(missing))):
+        saturate(term_set, RuleSet())
+
+
 # ---------------------------------------------------------------------------
 # Schmidt-frame states and the bound-filtered STATE_FUNCTION at their edges
 # ---------------------------------------------------------------------------
@@ -234,6 +274,13 @@ def test_two_level_states_at_the_tolerance(distance, seed):
         assert_engine_matches_reference(term_set, rules)
 
 
+def frame_matrix(col: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The r x r Schmidt-frame matrix whose row k holds ``val[k]`` in column ``col[k]``."""
+    m = np.zeros((col.size, col.size), dtype=complex)
+    m[np.arange(col.size), col] = val
+    return m
+
+
 def test_state_function_slack_absorbs_an_inflated_projection(monkeypatch):
     # Replays of a diagonal state are exact permutations, so ||restored - psi||
     # can be set just below STATE_EQ_TOL.  Projecting on a direction along that
@@ -250,7 +297,8 @@ def test_state_function_slack_absorbs_an_inflated_projection(monkeypatch):
     psi, _, restored = (replay(e, state, dec).amps for e in term_set.exprs)
     assert STATE_EQ_TOL * (1 - 1e-6) < np.linalg.norm(restored - psi) <= STATE_EQ_TOL
     # the engine projects Schmidt-frame matrices, so inflate along their difference
-    diff = (dec.system_vectors.conj().T @ (restored - psi) @ dec.env_vectors.conj()).real.ravel()
+    _, _, col, val = _frames(term_set.exprs, dec)
+    diff = (frame_matrix(col[2], val[2]) - frame_matrix(col[0], val[0])).real.ravel()
     direction = (1 + 1e-6) * diff / np.linalg.norm(diff)
     monkeypatch.setattr(derivation, "_direction", lambda size: direction)
     assert any(rec.rule == "STATE_FUNCTION" for rec in saturate(term_set, RuleSet()).trace)
@@ -287,17 +335,19 @@ def test_frame_states_match_dense_replay(lams, extra_env, seed, picks, betas):
         child = exprs[n % len(exprs)].then(SystemPhase((k,), (beta,)))
         exprs += [child, child.then(EnvPhase((k,), (-beta,)))]
         exprs.append(child.then(EnvPhase((k,), (beta,))).then(SystemPhase((k,), (beta,))))
-    rows, parents, stack, partners = _frame_states(exprs, dec)
-    assert list(rows) == list(dict.fromkeys(exprs))
+    distinct, parents, col, val = _frames(exprs, dec)
+    assert list(distinct) == list(dict.fromkeys(exprs))
     s, e = dec.system_vectors, dec.env_vectors
     # the difference to psi's own frame cancels the decomposition's rounding
-    psi_frame = s @ stack[0] @ e.T
-    for expr, n in rows.items():
-        amps = s @ stack[n] @ e.T - psi_frame + state.amps
+    psi_frame = s @ frame_matrix(col[0], val[0]) @ e.T
+    for n, expr in enumerate(distinct):
+        m = frame_matrix(col[n], val[n])
+        amps = s @ m @ e.T - psi_frame + state.amps
         assert np.max(np.abs(amps - replay(expr, state, dec).amps)) <= 1e-12
-        assert np.count_nonzero(stack[n][range(dec.rank), partners[n]]) == dec.rank
+        assert sorted(col[n]) == list(range(dec.rank))
+        assert np.count_nonzero(m[range(dec.rank), col[n]]) == dec.rank
         if parents[n] is not None:
-            assert list(rows)[parents[n]] == expr.parent()
+            assert distinct[parents[n]] == expr.parent()
 
 
 BAD_TAGS = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,3 +145,15 @@ def test_derivation_cache_is_bounded_and_keeps_the_sweep():
         equal_branch_derivation(m)
     after = equal_branch_derivation.cache_info()
     assert after.hits - before.hits == 32 and after.misses == before.misses
+
+
+def test_cold_derivation_at_grain_96_peaks_below_16_mb():
+    # Frames are a permutation and a phase per expr, not a dense r x r matrix,
+    # and the union-find and trace hold ints: about 37,000 terms at M = 96.
+    tracemalloc.start()
+    try:
+        equal_branch_derivation.__wrapped__(96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
