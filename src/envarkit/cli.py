@@ -30,11 +30,7 @@ from .errors import EnvarkitError, IncompleteDerivation, ParseError
 from .finegrain import RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
 from .gleason import AUDIT_TOL, PowerOverlapFrame, QuadraticFrame, audit
 from .schmidt import DEGENERACY_TOL, is_even, schmidt
-from .states import load_state
-
-
-def _matrix_pairs(mat: np.ndarray) -> list:
-    return [[[float(c.real), float(c.imag)] for c in row] for row in mat]
+from .states import _cells, load_state
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -77,8 +73,8 @@ def _cmd_schmidt(args) -> tuple[dict, int]:
         "lambda": [float(v) for v in dec.coefficients],
         "rank": dec.rank,
         "even": is_even(dec, tol),
-        "s_vecs": _matrix_pairs(dec.system_vectors.T),
-        "e_vecs": _matrix_pairs(dec.env_vectors.T),
+        "s_vecs": _cells(dec.system_vectors.T),
+        "e_vecs": _cells(dec.env_vectors.T),
     }
     return report, 0
 
@@ -102,17 +98,10 @@ def _cmd_envariance(args) -> tuple[dict, int]:
     report = {
         "envariant": verdict.envariant,
         "residual": verdict.residual,
-        "counter": _matrix_pairs(verdict.counter.mat) if verdict.counter else None,
+        "counter": _cells(verdict.counter.mat) if verdict.counter else None,
         "oracle_residual": oracle_residual,
     }
     return report, 0 if verdict.envariant else 1
-
-
-def _rules_from_args(disabled: list[str]) -> RuleSet:
-    rules = RuleSet()
-    for name in disabled:
-        rules = rules.without(name)
-    return rules
 
 
 def _derivation_report(term_set: TermSet, rules: RuleSet) -> dict:
@@ -140,7 +129,9 @@ def _cmd_derive(args) -> tuple[dict, int]:
     dec = schmidt(state)
     rank = dec.rank
     swaps = _parse_swaps(args.swaps) if args.swaps else [(k, k + 1) for k in range(1, rank)]
-    rules = _rules_from_args(args.disable or [])
+    rules = RuleSet()
+    for name in args.disable or []:
+        rules = rules.without(name)
     term_set = generate_terms(state, swaps, dec)
     report = _derivation_report(term_set, rules)
     if args.ablate:

@@ -32,11 +32,13 @@ entry, and ``val[k]``, its value.  Swaps permute them and phases multiply
   ``||m_i - m_j||``, which ``STATE_FUNCTION`` reads off ``col`` and ``val``
   in O(r).
 
-Terms are ints in structural order, ``row * 2r + side * r + (k - 1)`` for
+The engine runs on structural ids, ``row * 2r + side * r + (k - 1)`` for
 branch k on side S (0) or E (1) of the row-th distinct expr, and the
 union-find and its trace hold only those ints.  ``generate_terms`` returns
-its terms as a lazy sequence, and a store builds each ``ProbTerm`` and
-``MergeRecord`` once, when a caller first reads it.
+its terms as a lazy sequence in that order, so its term sets need no
+mapping; a hand-built term set gets the same run, replayed onto a store
+over its own terms.  A store builds each ``ProbTerm`` and ``MergeRecord``
+once, when a caller first reads it.
 
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
@@ -387,7 +389,7 @@ class _Trace(_Lazy):
 
     def _make(self, n: int) -> MergeRecord:
         store = self._store
-        left, right = store._term(store._lefts[n]), store._term(store._rights[n])
+        left, right = store._terms[store._lefts[n]], store._terms[store._rights[n]]
         return MergeRecord(store._rules[n], left, right)
 
 
@@ -398,70 +400,51 @@ class EqualityStore:
     the partition, so replaying it reproduces the partition and the merge
     graph is a forest (paths between terms are unique).  Terms are ids in
     insertion order and every class is rooted at its smallest id, the term
-    added earliest.  Built from ``generate_terms``' lazy terms, the store
-    numbers them structurally (repeated exprs add nothing) without building
-    them; terms added one by one come after.  The union-find and the trace
-    hold ids only: ``trace``, ``classes()``, ``find()`` and
-    ``minimal_trace()`` build each ``ProbTerm`` and ``MergeRecord`` they
-    return once, on first read.
+    added earliest.  The store keeps one term sequence.  Built from
+    ``generate_terms``' lazy terms it is structural: ids are the structural
+    ids over the distinct exprs, and terms are looked up by position without
+    being built.  Built from any other terms it keeps them in a list, looked
+    up by a dict; ``add`` on a structural store first turns its terms into
+    such a list.  The union-find and the trace hold ids only: ``trace``,
+    ``classes()``, ``find()`` and ``minimal_trace()`` build each
+    ``ProbTerm`` and ``MergeRecord`` they return once, on first read.
     """
 
     def __init__(self, terms=()) -> None:
-        lazy = isinstance(terms, _Terms)
-        self._grid = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank) if lazy else _Terms()
-        self._extra: list[ProbTerm] = []
-        self._extra_ids: dict[ProbTerm, int] = {}
-        self._parent = list(range(len(self._grid)))
+        structural = isinstance(terms, _Terms)
+        self._terms = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank) if structural else []
+        self._ids: dict[ProbTerm, int] = {}
+        self._parent = list(range(len(self._terms)))
         self._rules: list[str] = []
         self._lefts = array("q")
         self._rights = array("q")
         self.trace: Sequence[MergeRecord] = _Trace(self)
-        if not lazy:
+        if not structural:
             for term in terms:
                 self.add(term)
 
     def add(self, term: ProbTerm) -> None:
-        if self._lookup(term) is None:
-            self._extra_ids[term] = len(self._parent)
-            self._extra.append(term)
+        if self._id(term, required=False) is None:
+            if isinstance(self._terms, _Terms):
+                self._terms = list(self._terms)
+                self._ids = {t: n for n, t in enumerate(self._terms)}
+            self._ids[term] = len(self._terms)
+            self._terms.append(term)
             self._parent.append(len(self._parent))
 
-    def _lookup(self, term: ProbTerm) -> int | None:
-        tid = self._grid.position(term)
-        return self._extra_ids.get(term) if tid is None else tid
-
-    def _id(self, term: ProbTerm) -> int:
-        tid = self._lookup(term)
-        if tid is None:
+    def _id(self, term: ProbTerm, required: bool = True) -> int | None:
+        terms = self._terms
+        tid = terms.position(term) if isinstance(terms, _Terms) else self._ids.get(term)
+        if tid is None and required:
             raise UnknownTerm(str(term))
         return tid
 
-    def _term(self, tid: int) -> ProbTerm:
-        size = len(self._grid)
-        return self._grid[tid] if tid < size else self._extra[tid - size]
-
-    def _grid_ids(self, exprs: tuple[StateExpr, ...], rank: int) -> np.ndarray:
-        """Store id of every structural term id over ``exprs``; each term is mapped once."""
-        grid = self._grid
-        if grid.rank == rank and grid.exprs == exprs:
-            return np.arange(len(grid))
-        wanted = _Terms(exprs, rank)
-        ids = np.full(len(wanted), -1)
-        for tid in range(len(self._parent)):
-            n = wanted.position(self._term(tid))
-            if n is not None:
-                ids[n] = tid
-        missing = np.flatnonzero(ids < 0)
-        if missing.size:
-            raise UnknownTerm(str(wanted[int(missing[0])]))
-        return ids
-
     def _unite(self, rule: str, lefts, rights) -> int:
-        """Union ``lefts[n]`` with ``rights[n]`` in order; record and count the effective ones."""
+        """Union ``lefts[n]`` with ``rights[n]`` (flat ids) in order; record the effective ones."""
         parent = self._parent
         merged_left: list[int] = []
         merged_right: list[int] = []
-        for left, right in zip(lefts, rights):
+        for left, right in zip(np.ravel(lefts).tolist(), np.ravel(rights).tolist()):
             # most terms sit at most one step below their root
             ra = parent[left]
             if parent[ra] != ra:
@@ -483,11 +466,11 @@ class EqualityStore:
         return len(merged_left)
 
     def find(self, term: ProbTerm) -> ProbTerm:
-        return self._term(_root(self._parent, self._id(term)))
+        return self._terms[_root(self._parent, self._id(term))]
 
     def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> bool:
         """Union the two classes; record and report whether anything changed."""
-        return self._unite(rule, [self._id(left)], [self._id(right)]) > 0
+        return self._unite(rule, self._id(left), self._id(right)) > 0
 
     def same_class(self, left: ProbTerm, right: ProbTerm) -> bool:
         return _root(self._parent, self._id(left)) == _root(self._parent, self._id(right))
@@ -495,7 +478,7 @@ class EqualityStore:
     def classes(self) -> list[list[ProbTerm]]:
         grouped: dict[int, list[ProbTerm]] = {}
         for node in range(len(self._parent)):
-            grouped.setdefault(_root(self._parent, node), []).append(self._term(node))
+            grouped.setdefault(_root(self._parent, node), []).append(self._terms[node])
         return list(grouped.values())
 
     def minimal_trace(self, left: ProbTerm, right: ProbTerm) -> list[MergeRecord]:
@@ -639,12 +622,17 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     Each rule's applicability depends only on the exprs' states, never on
     the current partition, so a single deterministic sweep saturates.  The
     states are Schmidt-frame permutations and phases (``_frames``), exact for
-    every tag, and every distinct expr is visited once.  Every rule works on
+    every tag, and every distinct expr is visited once.  Every rule unions
     structural term ids, ``row * 2r + side * r + (k - 1)`` over the distinct
-    exprs, which the store maps to its own ids once: for ``generate_terms``'
-    lazy terms they are the same ids, and a hand-built term set's terms are
-    looked up.  A repeated expr shares its first occurrence's ids, so its
-    merges could never change the partition.
+    exprs, directly in a structural store; a repeated expr shares its first
+    occurrence's ids, so its merges could never change the partition.  That
+    store is the result for ``generate_terms``' lazy terms.  A hand-built
+    term set (any other terms) must hold every structural term, else
+    ``UnknownTerm`` names the first one missing; the structural trace, a
+    spanning forest, is then replayed onto a store over its terms with
+    ``merge``.  Every replayed merge is effective and comes in the same
+    order, and each root stays the earliest-added term in the hand-built
+    order.
 
     * ``PAIRING`` unions ``S:k`` with ``E:col[k]``.  Each row of a frame
       matrix holds one nonzero entry, so every system branch has exactly one
@@ -659,12 +647,8 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     exprs, parents, col, val = _frames(term_set.exprs, term_set.decomposition)
     r = col.shape[1]
     width = 2 * r
-    store = EqualityStore(term_set.terms)
-    ids = store._grid_ids(exprs, r)
-
-    def unite(rule: str, lefts: np.ndarray, rights: np.ndarray) -> None:
-        store._unite(rule, ids[lefts].ravel().tolist(), ids[rights].ravel().tolist())
-
+    store = EqualityStore(_Terms(exprs, r))
+    unite = store._unite
     first = np.arange(len(exprs))[:, None] * width  # each expr's S:1
     branch = np.arange(r)
     if rules.pairing:
@@ -689,7 +673,15 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
         every = np.arange(width)
         unite("STATE_FUNCTION", pairs[:, 1:] * width + every, pairs[:, :1] * width + every)
 
-    return store
+    terms = term_set.terms
+    if isinstance(terms, _Terms) and terms.exprs == term_set.exprs and terms.rank == r:
+        return store
+    hand_built = EqualityStore(terms)
+    for term in store._terms:
+        hand_built._id(term)
+    for record in store.trace:
+        hand_built.merge(record.rule, record.left, record.right)
+    return hand_built
 
 
 def equal_probabilities(

@@ -9,7 +9,7 @@ proof of anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -157,15 +157,7 @@ class AuditReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "trials": self.trials,
-            "max_dev": self.max_dev,
-            "mean_dev": self.mean_dev,
-            "worst_basis_seed": self.worst_basis_seed,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def audit(

@@ -145,11 +145,7 @@ def make_state(coeffs, normalize: bool = False) -> BipartiteState:
         ZeroState: every coefficient is zero.
         NotNormalized: ``normalize`` is off and the norm deviates from 1.
     """
-    amps = np.array(coeffs, dtype=complex)
-    if amps.ndim != 2 or amps.size == 0:
-        raise DimensionMismatch(f"coefficients must form a nonempty matrix, got shape {amps.shape}")
-    if not np.isfinite(amps).all():
-        raise ParseError("coefficients must be finite (no NaN/Inf entries)")
+    amps = _as_complex_array(coeffs, 2, "coefficients")
     if not amps.any():
         raise ZeroState("all coefficients are zero")
     if normalize:
@@ -221,10 +217,15 @@ def premeasure(state: BipartiteState, decomposition: "SchmidtDecomposition") -> 
 # row-major system-first, floats written with 17 significant digits.
 # ---------------------------------------------------------------------------
 
+def _cells(mat: np.ndarray) -> list:
+    """The rows of ``mat`` as lists of ``[re, im]`` float cells."""
+    return [[[float(c.real), float(c.imag)] for c in row] for row in mat]
+
+
 def _rows_json(mat: np.ndarray) -> str:
-    """The rows of ``mat`` as a JSON list of ``[re, im]`` cell lists."""
+    """The rows of ``mat`` as a JSON list of ``[re, im]`` cells, floats at 17 digits."""
     return "[%s]" % ", ".join(
-        "[%s]" % ", ".join(f"[{_fmt17(c.real)}, {_fmt17(c.imag)}]" for c in row) for row in mat
+        "[%s]" % ", ".join(f"[{_fmt17(re)}, {_fmt17(im)}]" for re, im in row) for row in _cells(mat)
     )
 
 
