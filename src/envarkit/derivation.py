@@ -339,7 +339,11 @@ def generate_terms(
     lam = dec.coefficients
     r = dec.rank
     exprs: list[StateExpr] = [StateExpr()]
-    for i, j in swaps:
+    for swap in swaps:
+        try:
+            i, j = swap
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"swap {swap!r} is not a pair of branch indices") from exc
         _check_swap(i, j)
         for idx in (i, j):
             if not 1 <= idx <= r:

@@ -73,8 +73,8 @@ def rationalize(weights, tol: float = 1e-9, max_den: int = 1000) -> RationalWeig
     and sum to one, otherwise ``NoRationalFit`` is raised.
     """
     ws = [float(w) for w in weights]
-    if not ws or any(w <= 0 for w in ws):
-        raise WeightMismatch(f"weights must be positive, got {weights}")
+    if not ws or not all(0 < w < float("inf") for w in ws):
+        raise WeightMismatch(f"weights must be positive and finite, got {weights}")
     if abs(sum(ws) - 1.0) > tol:
         raise WeightMismatch(f"weights sum to {sum(ws)!r}, not 1 within {tol}")
     fracs = [Fraction(w).limit_denominator(max_den) for w in ws]

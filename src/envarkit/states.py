@@ -229,9 +229,15 @@ def _rows_json(mat: np.ndarray) -> str:
     )
 
 
+def _cell(cell) -> complex:
+    if type(cell) is not list or len(cell) != 2 or any(type(x) not in (int, float) for x in cell):
+        raise ParseError(f"a cell must be [re, im], two numbers, got {cell!r}")
+    return complex(*cell)
+
+
 def _rows_from_json(rows) -> np.ndarray:
     """Matrix from a JSON list of rows of ``[re, im]`` cells."""
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+    return np.array([[_cell(c) for c in row] for row in rows], dtype=complex)
 
 
 def state_to_json(state: BipartiteState) -> str:

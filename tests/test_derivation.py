@@ -14,6 +14,7 @@ from envarkit import (
     EqualityStore,
     IncompleteDerivation,
     MergeRecord,
+    ParseError,
     ProbTerm,
     RuleSet,
     StateExpr,
@@ -152,6 +153,25 @@ class TestSaturation:
         assert len(store.trace) == 3
 
 
+    def test_add_on_a_structural_store_numbers_the_new_term_last(self):
+        term_set = generate_terms(even_state(3), [(1, 2)])
+        store = saturate(term_set, RuleSet())
+        roots = [store.find(t) for t in term_set.terms]
+        classes = store.classes()
+        chain = store.minimal_trace(S2, S1)
+        extra = ProbTerm("S", 2, StateExpr().then(SystemSwap(1, 2)).then(SystemSwap(2, 3)))
+        store.add(extra)
+        store.add(extra)
+        assert store._id(extra) == len(term_set) == 18
+        assert store.classes() == classes + [[extra]]
+        assert store.merge("custom", extra, S2) and not store.merge("custom", S1, extra)
+        assert [store.find(t) for t in term_set.terms] == roots
+        assert store.find(extra) is store.find(S2) is classes[0][0]
+        assert store.classes() == [cls + [extra] if S2 in cls else cls for cls in classes]
+        assert store.minimal_trace(extra, S1) == [MergeRecord("custom", extra, S2)] + chain
+        assert store.trace[-1] == MergeRecord("custom", extra, S2)
+
+
 class TestNumericProbabilities:
     def test_bell_halves(self):
         store = saturate(generate_terms(bell_state(), [(1, 2)]), RuleSet())
@@ -237,11 +257,21 @@ def test_ruleset_enabled_names():
     "make",
     [
         lambda: generate_terms(bell_state(), [(1, 1)]),
+        lambda: generate_terms(bell_state(), [(1, 2, 3)]),
+        lambda: generate_terms(bell_state(), [(1,)]),
+        lambda: generate_terms(bell_state(), [1]),
         lambda: RuleSet().without("nope"),
         lambda: ProbTerm("X", 1, StateExpr()),
     ],
-    ids=["swap-with-itself", "unknown-rule", "unknown-subsystem"],
+    ids=["swap-with-itself", "swap-triple", "swap-single", "swap-not-a-pair", "unknown-rule",
+         "unknown-subsystem"],
 )
 def test_input_errors_stay_in_the_hierarchy(make):
     with pytest.raises(EnvarkitError):
         make()
+
+
+@pytest.mark.parametrize("swap", [(1, 2, 3), (1,), (), 1])
+def test_a_swap_that_is_not_a_pair_is_a_parse_error(swap):
+    with pytest.raises(ParseError, match="not a pair"):
+        generate_terms(bell_state(), [(1, 2), swap])

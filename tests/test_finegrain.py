@@ -35,6 +35,12 @@ class TestRationalize:
         with pytest.raises(NoRationalFit):
             rationalize([2**-0.5, 1 - 2**-0.5], tol=1e-9, max_den=1000)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        # NaN passes both ``w <= 0`` and the sum check, which compare false
+        with pytest.raises(WeightMismatch, match="finite"):
+            rationalize([bad, 0.5])
+
     def test_bad_sum_rejected(self):
         with pytest.raises(WeightMismatch):
             rationalize([1 / 3, 1 / 3], tol=1e-9, max_den=10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from envarkit import (
+    ParseError,
     SchmidtDecomposition,
     apply_env,
     apply_system,
@@ -150,6 +151,13 @@ def test_decomposition_validation():
         SchmidtDecomposition(np.array([0.9, 0.1]), vecs, vecs)
     with pytest.raises(ValueError, match="orthonormal"):
         SchmidtDecomposition(np.array([R, R]), np.ones((2, 2), dtype=complex), vecs)
+
+
+@pytest.mark.parametrize("cell", ["[1, 0, 5]", "[true, false]", "[1]"])
+def test_decomposition_cells_must_be_two_numbers(cell):
+    text = '{"lambda": [1.0], "s_vecs": [[%s]], "e_vecs": [[[1, 0]]]}' % cell
+    with pytest.raises(ParseError, match="cell"):
+        decomposition_from_json(text)
 
 
 def test_serialization_round_trip():

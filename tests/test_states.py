@@ -251,6 +251,13 @@ class TestJsonFormat:
         with pytest.raises(ParseError, match="positive integers"):
             state_from_json('{%s, "amps": [[[1, 0]]]}' % dims)
 
+    @pytest.mark.parametrize(
+        "cell", ["[1, 0, 5]", "[1]", "[]", "1", '"1"', "[true, false]", "[1, null]", '[1, "0"]']
+    )
+    def test_cells_must_be_two_numbers(self, cell):
+        with pytest.raises(ParseError, match="cell"):
+            state_from_json('{"dim_s": 1, "dim_e": 1, "amps": [[%s]]}' % cell)
+
     def test_unnormalized_file(self):
         with pytest.raises(NotNormalized):
             state_from_json('{"dim_s": 1, "dim_e": 2, "amps": [[[1, 0], [1, 0]]]}')
