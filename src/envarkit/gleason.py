@@ -9,7 +9,7 @@ proof of anything.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -157,7 +157,8 @@ class AuditReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # not dataclasses.asdict, which deep-copies every value: 10 us a call against 1.5
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def audit(

@@ -14,7 +14,6 @@ from envarkit import (
     EqualityStore,
     IncompleteDerivation,
     MergeRecord,
-    ParseError,
     ProbTerm,
     RuleSet,
     StateExpr,
@@ -263,15 +262,11 @@ def test_ruleset_enabled_names():
         lambda: RuleSet().without("nope"),
         lambda: ProbTerm("X", 1, StateExpr()),
     ],
-    ids=["swap-with-itself", "swap-triple", "swap-single", "swap-not-a-pair", "unknown-rule",
-         "unknown-subsystem"],
+    ids=[
+        "swap-with-itself", "swap-triple", "swap-single", "swap-not-a-pair",
+        "unknown-rule", "unknown-subsystem",
+    ],
 )
 def test_input_errors_stay_in_the_hierarchy(make):
     with pytest.raises(EnvarkitError):
         make()
-
-
-@pytest.mark.parametrize("swap", [(1, 2, 3), (1,), (), 1])
-def test_a_swap_that_is_not_a_pair_is_a_parse_error(swap):
-    with pytest.raises(ParseError, match="not a pair"):
-        generate_terms(bell_state(), [(1, 2), swap])

@@ -64,11 +64,6 @@ def test_golden_entry(entry, tmp_path):
     assert run_entry(entry, tmp_path / "report.json") == recorded
 
 
-def test_entry_names_are_unique():
-    names = [entry["name"] for entry in _entries()]
-    assert len(names) == len(set(names))
-
-
 def record() -> None:
     entries = []
     with TemporaryDirectory() as scratch:
