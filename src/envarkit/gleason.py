@@ -157,7 +157,7 @@ class AuditReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        # not dataclasses.asdict, which deep-copies every value: 10 us a call against 1.5
+        # not dataclasses.asdict, which deep-copies every value: 10 us a call against 1.5 us
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
