@@ -30,7 +30,7 @@ from .errors import EnvarkitError, IncompleteDerivation, ParseError
 from .finegrain import RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
 from .gleason import AUDIT_TOL, PowerOverlapFrame, QuadraticFrame, audit
 from .schmidt import DEGENERACY_TOL, is_even, schmidt
-from .states import _cells, load_state
+from .states import LocalUnitary, _cells, load_state
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -45,17 +45,21 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_transform(spec: str):
+def _parse_transform(spec: str, basis: np.ndarray) -> LocalUnitary:
+    """The unitary a ``swap:i,j`` or ``phase:b1,b2,...`` spec names in ``basis``."""
     kind, _, rest = spec.partition(":")
+    parse = {"swap": int, "phase": float}.get(kind)
+    if parse is None:
+        raise ParseError(f"transform spec must be 'swap:i,j' or 'phase:b1,b2,...', got {spec!r}")
     try:
+        values = tuple(parse(x) for x in rest.split(","))
         if kind == "swap":
-            i, j = (int(x) for x in rest.split(","))
-            return ("swap", i, j)
-        if kind == "phase":
-            return ("phase", tuple(float(x) for x in rest.split(",")))
+            i, j = values
     except ValueError as exc:
         raise ParseError(f"bad transform spec {spec!r}: {exc}") from exc
-    raise ParseError(f"transform spec must be 'swap:i,j' or 'phase:b1,b2,...', got {spec!r}")
+    if kind == "swap":
+        return swap_transform(i, j, basis)
+    return phase_transform(tuple(range(1, len(values) + 1)), values, basis)
 
 
 def _parse_swaps(spec: str) -> list[tuple[int, int]]:
@@ -81,13 +85,7 @@ def _cmd_schmidt(args) -> tuple[dict, int]:
 
 def _cmd_envariance(args) -> tuple[dict, int]:
     state = load_state(args.state)
-    dec = schmidt(state)
-    parsed = _parse_transform(args.transform)
-    if parsed[0] == "swap":
-        u_s = swap_transform(parsed[1], parsed[2], dec.system_vectors)
-    else:
-        betas = parsed[1]
-        u_s = phase_transform(tuple(range(1, len(betas) + 1)), betas, dec.system_vectors)
+    u_s = _parse_transform(args.transform, schmidt(state).system_vectors)
     tol = args.tol if args.tol is not None else ENVAR_TOL
     verdict = check_envariance(state, u_s, tol=tol)
     # a verdict without a counter already carries the oracle's residual
@@ -137,13 +135,12 @@ def _cmd_derive(args) -> tuple[dict, int]:
     if args.ablate:
         ablations = []
         left = ProbTerm("S", 1, StateExpr())
-        right = ProbTerm("S", min(2, rank), StateExpr())
+        right = ProbTerm("S", 2, StateExpr())
         for name in ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION"):
-            sub_rules = rules.without(name)
-            sub_store = saturate(term_set, sub_rules)
-            ablations.append(
-                {"disabled": name, "s1_equals_s2": sub_store.same_class(left, right)}
-            )
+            store = saturate(term_set, rules.without(name))
+            # a rank-1 state has no second branch to compare with
+            same = store.same_class(left, right) if rank > 1 else None
+            ablations.append({"disabled": name, "s1_equals_s2": same})
         report["ablations"] = ablations
     return report, 0 if report["probabilities"] is not None else 1
 
@@ -250,6 +247,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+            raise ParseError(f"--tol must be a finite nonnegative number, got {args.tol}")
         report, code = _COMMANDS[args.command](args)
     except (EnvarkitError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

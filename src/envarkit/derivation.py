@@ -56,7 +56,6 @@ import numpy as np
 from .envariance import _check_indices, _check_phase, _check_swap, phase_transform, swap_transform
 from .errors import (
     IncompleteDerivation,
-    IndexOutOfRange,
     ParseError,
     UnevenCoefficients,
     UnknownTerm,
@@ -212,8 +211,7 @@ def born_value(
     consults it.
     """
     dec = decomposition if decomposition is not None else schmidt(base_state)
-    if not 1 <= term.index <= dec.rank:
-        raise IndexOutOfRange(f"branch {term.index} outside 1..{dec.rank}")
+    _check_indices((term.index,), dec.rank)
     amps = replay(term.state, base_state, dec).amps
     if term.subsystem == "S":
         vec = dec.system_vectors[:, term.index - 1]
@@ -345,9 +343,7 @@ def generate_terms(
         except (TypeError, ValueError) as exc:
             raise ParseError(f"swap {swap!r} is not a pair of branch indices") from exc
         _check_swap(i, j)
-        for idx in (i, j):
-            if not 1 <= idx <= r:
-                raise IndexOutOfRange(f"swap index {idx} outside 1..{r}")
+        _check_indices((i, j), r)
         gap = abs(float(lam[i - 1] - lam[j - 1]))
         if gap > DEGENERACY_TOL:
             raise UnevenCoefficients(

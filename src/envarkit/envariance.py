@@ -16,20 +16,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis
-from .schmidt import DEGENERACY_TOL, degeneracy_blocks, schmidt
+from .schmidt import DEGENERACY_TOL, SCHMIDT_CUTOFF, degeneracy_blocks, schmidt
 from .states import (
     _BASIS_TOL,
     BipartiteState,
     LocalUnitary,
-    _orthonormality_defect,
+    _check_orthonormal,
     apply_env,
     apply_system,
     equal_up_to_global_phase,
 )
 
 ENVAR_TOL = 1e-9
-
-_RANK_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,7 @@ def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
     vecs = np.asarray(basis, dtype=complex)
     if vecs.ndim != 2:
         raise NonOrthonormalBasis(f"basis must be a 2-d column block, got shape {vecs.shape}")
-    defect = _orthonormality_defect(vecs)
-    if defect > _BASIS_TOL:
-        raise NonOrthonormalBasis(f"basis columns deviate from orthonormality by {defect:.3g}")
+    _check_orthonormal(vecs, _BASIS_TOL, "basis")
     _check_indices(indices, vecs.shape[1])
     return vecs
 
@@ -60,7 +56,7 @@ def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
 def _check_indices(indices: Iterable[int], n: int) -> None:
     for idx in indices:
         if not 1 <= idx <= n:
-            raise IndexOutOfRange(f"basis index {idx} outside 1..{n}")
+            raise IndexOutOfRange(f"index {idx} outside 1..{n}")
 
 
 def _check_swap(i: int, j: int) -> None:
@@ -124,7 +120,9 @@ def check_envariance(
     the matching environment swap) and as identity outside the support.
 
     Equality is strict by default; ``up_to_phase=True`` scores the residual
-    modulo a global phase instead.
+    modulo a global phase instead.  ``tol`` bounds the off-block entries of
+    ``a``, the support leak and the restored residual.  A negative verdict
+    reports the oracle's residual, which can fall below ``tol``.
     """
     if u_s.dim != state.dim_s:
         raise DimensionMismatch(f"unitary dim {u_s.dim} != system dim {state.dim_s}")
@@ -176,7 +174,7 @@ def oracle_best_counter(
     b = u_s.mat @ c
     target = c.T @ np.conj(b)
     x, sig, yh = np.linalg.svd(target)
-    r = int(np.sum(sig > _RANK_CUTOFF))
+    r = int(np.sum(sig > SCHMIDT_CUTOFF))
     n = state.dim_e
     if r == n:
         v = x @ yh

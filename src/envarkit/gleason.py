@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonOrthonormalBasis, NotNormalized, ParseError
-from .states import _BASIS_TOL, _orthonormality_defect
+from .errors import DimensionMismatch, NotNormalized, ParseError
+from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal
 
 AUDIT_TOL = 1e-9
 
@@ -31,9 +31,7 @@ class BasisSample:
         vecs = np.array(self.vectors, dtype=complex)
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1] or vecs.shape[0] < 2:
             raise DimensionMismatch(f"basis must be square with dim >= 2, got shape {vecs.shape}")
-        defect = _orthonormality_defect(vecs)
-        if defect > _BASIS_TOL:
-            raise NonOrthonormalBasis(f"basis deviates from orthonormality by {defect:.3g}")
+        _check_orthonormal(vecs, _BASIS_TOL, "basis")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
@@ -65,8 +63,8 @@ class QuadraticFrame:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = np.array(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        rho = _as_complex_array(self.rho, 2, "rho")
+        if rho.shape[0] != rho.shape[1]:
             raise DimensionMismatch(f"rho must be square, got shape {rho.shape}")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise ParseError("rho must be Hermitian within 1e-10")
@@ -74,7 +72,6 @@ class QuadraticFrame:
             raise NotNormalized("rho must have unit trace within 1e-10")
         if float(np.min(np.linalg.eigvalsh(rho))) < -1e-10:
             raise ParseError("rho must be positive semidefinite within 1e-10")
-        rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -97,12 +94,11 @@ class PowerOverlapFrame:
     alpha: float
 
     def __post_init__(self) -> None:
-        w = np.array(self.w, dtype=complex)
-        if w.ndim != 1:
-            raise DimensionMismatch(f"w must be a 1-d vector, got shape {w.shape}")
+        w = _as_complex_array(self.w, 1, "w")
         if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
             raise NotNormalized("w must be a unit vector")
-        w.setflags(write=False)
+        if np.isnan(self.alpha):
+            raise ParseError("alpha must be a number, got NaN")
         object.__setattr__(self, "w", w)
 
     @property
@@ -167,21 +163,14 @@ def audit(
     """Check the basis-sum condition over seeded Haar-random bases.
 
     Dimension 3 is required: the normalization condition only pins down
-    quadratic forms in dimension greater than two.
+    quadratic forms in dimension greater than two.  A NaN deviation is a
+    ``VIOLATION``, reported as ``max_dev`` with the seed of its basis.
     """
     if dim < 3:
         raise DimensionMismatch("frame-function audit requires dimension greater than two")
     if trials < 1:
         raise ParseError("trials must be at least 1")
-    max_dev = -1.0
-    total = 0.0
-    worst_seed = seed
-    for t in range(trials):
-        basis = random_basis(dim, seed + t)
-        dev = abs(frame_sum(p, basis) - 1.0)
-        total += dev
-        if dev > max_dev:
-            max_dev = dev
-            worst_seed = seed + t
-    verdict = "CONSISTENT" if max_dev <= tol else "VIOLATION"
-    return AuditReport(p.kind, dim, trials, max_dev, total / trials, worst_seed, verdict)
+    devs = [abs(frame_sum(p, random_basis(dim, seed + t)) - 1.0) for t in range(trials)]
+    worst = int(np.argmax(devs))  # the first maximum, or the first NaN
+    verdict = "CONSISTENT" if devs[worst] <= tol else "VIOLATION"
+    return AuditReport(p.kind, dim, trials, devs[worst], sum(devs) / trials, seed + worst, verdict)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonOrthonormalBasis, NotNormalized, ParseError
-from .states import BipartiteState, _fmt17, _orthonormality_defect, _rows_from_json, _rows_json
+from .errors import DimensionMismatch, NotNormalized, ParseError
+from .states import BipartiteState, _check_orthonormal, _fmt17, _rows_from_json, _rows_json
 from .states import make_state, reduced_density_system
 
 SCHMIDT_CUTOFF = 1e-12
@@ -45,13 +45,12 @@ class SchmidtDecomposition:
             raise DimensionMismatch("vector blocks must supply one column per coefficient")
         if np.any(np.diff(lam) > 0):
             raise ParseError("coefficients must be sorted descending")
-        if np.any(lam <= SCHMIDT_CUTOFF):
+        if not np.all(lam > SCHMIDT_CUTOFF):
             raise ParseError(f"coefficients must exceed the zero cutoff {SCHMIDT_CUTOFF}")
-        if abs(float(np.sum(lam**2)) - 1.0) > 1e-9:
+        if not abs(float(np.sum(lam**2)) - 1.0) <= 1e-9:
             raise NotNormalized("squared coefficients must sum to 1 within 1e-9")
-        for name, block in (("system_vectors", svecs), ("env_vectors", evecs)):
-            if _orthonormality_defect(block) > 1e-9:
-                raise NonOrthonormalBasis(f"{name} columns are not orthonormal within 1e-9")
+        _check_orthonormal(svecs, 1e-9, "system_vectors")
+        _check_orthonormal(evecs, 1e-9, "env_vectors")
         for name, arr in (("coefficients", lam), ("system_vectors", svecs), ("env_vectors", evecs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonOrthonormalBasis,
     NotNormalized,
     NotUnitary,
     ParseError,
@@ -36,9 +37,11 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _orthonormality_defect(block: np.ndarray) -> float:
-    """``max |B†B - I|`` over the columns of ``block``."""
-    return float(np.max(np.abs(block.conj().T @ block - np.eye(block.shape[1]))))
+def _check_orthonormal(block: np.ndarray, tol: float, what: str, error=NonOrthonormalBasis) -> None:
+    """Raise ``error`` unless ``max |B†B - I|`` over the columns is ``<= tol``; NaN fails."""
+    defect = float(np.max(np.abs(block.conj().T @ block - np.eye(block.shape[1]))))
+    if not defect <= tol:
+        raise error(f"{what} columns deviate from orthonormality by {defect:.3g}")
 
 
 def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
@@ -53,6 +56,15 @@ def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _unit_amps(values, ndim: int, what: str) -> np.ndarray:
+    """Validated read-only amplitude array whose norm is 1 within ``NORM_TOL``."""
+    amps = _as_complex_array(values, ndim, what)
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NotNormalized(f"state norm {norm:.17g} is not 1 within {NORM_TOL}")
+    return amps
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """Unit-norm pure state of a system-environment pair."""
@@ -60,11 +72,7 @@ class BipartiteState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _as_complex_array(self.amps, 2, "amplitude matrix")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state norm {norm:.17g} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _unit_amps(self.amps, 2, "amplitude matrix"))
 
     @property
     def dim_s(self) -> int:
@@ -87,11 +95,7 @@ class TripartiteState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _as_complex_array(self.amps, 3, "amplitude tensor")
-        norm = float(np.linalg.norm(amps.ravel()))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state norm {norm:.17g} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _unit_amps(self.amps, 3, "amplitude tensor"))
 
     @property
     def dim_m(self) -> int:
@@ -116,9 +120,7 @@ class LocalUnitary:
         mat = _as_complex_array(self.mat, 2, "unitary matrix")
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got shape {mat.shape}")
-        defect = _orthonormality_defect(mat)
-        if defect > UNITARY_TOL:
-            raise NotUnitary(f"U†U deviates from identity by {defect:.3g}")
+        _check_orthonormal(mat, UNITARY_TOL, "unitary matrix", NotUnitary)
         object.__setattr__(self, "mat", mat)
 
     @property

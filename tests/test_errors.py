@@ -41,14 +41,20 @@ CASES = {
     "decomposition-cutoff": (ParseError, decomposition([1.0, 0.0])),
     "decomposition-norm": (NotNormalized, decomposition([0.9, 0.1])),
     "decomposition-basis": (NonOrthonormalBasis, decomposition([R, R], np.ones((2, 2)))),
+    "decomposition-nan-lambda": (ParseError, decomposition([np.nan, np.nan])),
+    "decomposition-nan-vectors": (NonOrthonormalBasis, decomposition([R, R], EYE2 * np.nan)),
     "basis-shape": (DimensionMismatch, lambda: BasisSample(np.eye(3, 2), 0)),
+    "basis-nan": (NonOrthonormalBasis, lambda: BasisSample(np.full((3, 3), np.nan), 0)),
     "random-basis-dim": (DimensionMismatch, lambda: random_basis(1, 0)),
     "quadratic-shape": (DimensionMismatch, lambda: QuadraticFrame(np.eye(3, 2) / 2)),
     "quadratic-hermitian": (ParseError, lambda: QuadraticFrame(np.array([[0.5, 1.0], [0.0, 0.5]]))),
     "quadratic-trace": (NotNormalized, lambda: QuadraticFrame(EYE3)),
     "quadratic-psd": (ParseError, lambda: QuadraticFrame(np.diag([1.5, -0.5, 0.0]))),
+    "quadratic-nan": (ParseError, lambda: QuadraticFrame(np.full((3, 3), np.nan))),
     "power-shape": (DimensionMismatch, lambda: PowerOverlapFrame(EYE2, 2.0)),
     "power-norm": (NotNormalized, lambda: PowerOverlapFrame(np.array([2.0, 0.0]), 2.0)),
+    "power-nan-w": (ParseError, lambda: PowerOverlapFrame(np.array([np.nan, 0.0]), 2.0)),
+    "power-nan-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), np.nan)),
     "audit-dim": (DimensionMismatch, lambda: audit(QuadraticFrame(EYE2 / 2), 2, 1)),
     "audit-trials": (ParseError, lambda: audit(FRAME, 3, 0)),
     "phase-lengths": (DimensionMismatch, lambda: phase_transform((1, 2), (0.1,), EYE2)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,17 @@ class TestAudit:
         report = audit(constant, 4, 10, seed=0)
         assert report.verdict == "CONSISTENT"
         assert report.kind == "quarter"
+
+    def test_nan_deviation_is_a_violation(self):
+        report = audit(CustomFrame(lambda v: float("nan")), 3, 4)
+        assert report.verdict == "VIOLATION"
+        assert np.isnan(report.max_dev)
+        calls = itertools.count()
+        nan_from_third_basis = CustomFrame(lambda v: 1 / 3 if next(calls) < 6 else float("nan"))
+        report = audit(nan_from_third_basis, 3, 4, seed=5)
+        assert report.verdict == "VIOLATION"
+        assert np.isnan(report.max_dev)
+        assert report.worst_basis_seed == 7
 
     def test_worst_seed_reproduces_max_dev(self):
         frame = PowerOverlapFrame(e_vec(3, 0), 4.0)

@@ -8,8 +8,10 @@ argv, ``{states}`` names ``golden/states``, written by
 ``env`` sets environment variables for its run; ``ENVARKIT_SEED`` is unset
 otherwise.
 
-Run as a script, the module reruns every entry's argv and rewrites the
-recorded results in the manifest:
+Run as a script, the module reruns every entry's argv, rewrites the
+recorded results in the manifest, and prints the names of the entries whose
+results changed, were added or were removed since the last commit (an entry
+is added by writing only its inputs into the manifest):
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -20,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -58,19 +61,42 @@ def _entries() -> list[dict]:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
+def _results(entry: dict) -> dict:
+    return {k: v for k, v in entry.items() if k not in INPUTS}
+
+
 @pytest.mark.parametrize("entry", _entries(), ids=lambda entry: entry["name"])
 def test_golden_entry(entry, tmp_path):
-    recorded = {k: v for k, v in entry.items() if k not in INPUTS}
-    assert run_entry(entry, tmp_path / "report.json") == recorded
+    assert run_entry(entry, tmp_path / "report.json") == _results(entry)
+
+
+def _committed_entries() -> list[dict]:
+    """The manifest as of the last commit, or as on disk outside a git checkout."""
+    try:
+        shown = subprocess.run(
+            ["git", "show", "HEAD:./manifest.json"],
+            cwd=GOLDEN, capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return _entries()
+    return json.loads(shown.stdout)
 
 
 def record() -> None:
+    before = {entry["name"]: _results(entry) for entry in _committed_entries()}
     entries = []
     with TemporaryDirectory() as scratch:
         for entry in _entries():
             inputs = {k: entry[k] for k in INPUTS if k in entry}
             entries.append(inputs | run_entry(entry, Path(scratch) / "report.json"))
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    after = {entry["name"]: _results(entry) for entry in entries}
+    for label, names in (
+        ("changed", [n for n in after if n in before and after[n] != before[n]]),
+        ("added", [n for n in after if n not in before]),
+        ("removed", [n for n in before if n not in after]),
+    ):
+        print(f"{label}: {' '.join(names) or '-'}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from envarkit import (
+    NonOrthonormalBasis,
     ParseError,
     SchmidtDecomposition,
     apply_env,
@@ -157,6 +158,19 @@ def test_decomposition_validation():
 def test_decomposition_cells_must_be_two_numbers(cell):
     text = '{"lambda": [1.0], "s_vecs": [[%s]], "e_vecs": [[[1, 0]]]}' % cell
     with pytest.raises(ParseError, match="cell"):
+        decomposition_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        (ParseError, '{"lambda": [NaN], "s_vecs": [[[1, 0]]], "e_vecs": [[[1, 0]]]}'),
+        (NonOrthonormalBasis, '{"lambda": [1.0], "s_vecs": [[[NaN, 0]]], "e_vecs": [[[1, 0]]]}'),
+    ],
+    ids=["lambda", "cell"],
+)
+def test_decomposition_nan_literals_are_rejected(kind, text):
+    with pytest.raises(kind):
         decomposition_from_json(text)
 
 
