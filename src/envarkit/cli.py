@@ -28,7 +28,7 @@ from .derivation import (
 from .envariance import ENVAR_TOL, check_envariance, oracle_best_counter, phase_transform, swap_transform
 from .errors import EnvarkitError, IncompleteDerivation, ParseError
 from .finegrain import RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
-from .gleason import AUDIT_TOL, PowerOverlapFrame, QuadraticFrame, audit
+from .gleason import AUDIT_TOL, PowerOverlapFrame, QuadraticFrame, _check_audit_size, audit
 from .schmidt import DEGENERACY_TOL, is_even, schmidt
 from .states import LocalUnitary, _cells, load_state
 
@@ -173,6 +173,7 @@ def _cmd_finegrain(args) -> tuple[dict, int]:
 
 
 def _cmd_gleason(args) -> tuple[dict, int]:
+    _check_audit_size(args.dim, args.trials)
     if args.kind == "quadratic":
         rng = np.random.default_rng(args.seed)
         g = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal((args.dim, args.dim))

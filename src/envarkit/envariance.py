@@ -46,8 +46,8 @@ class EnvarianceVerdict:
 
 def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
     vecs = np.asarray(basis, dtype=complex)
-    if vecs.ndim != 2:
-        raise NonOrthonormalBasis(f"basis must be a 2-d column block, got shape {vecs.shape}")
+    if vecs.ndim != 2 or vecs.shape[1] == 0:
+        raise NonOrthonormalBasis(f"basis must be a nonempty 2-d column block, got shape {vecs.shape}")
     _check_orthonormal(vecs, _BASIS_TOL, "basis")
     _check_indices(indices, vecs.shape[1])
     return vecs

@@ -40,20 +40,24 @@ class BasisSample:
         return self.vectors.shape[0]
 
 
-def random_basis(dim: int, seed: int) -> BasisSample:
-    """Haar-distributed orthonormal basis from a seeded complex Gaussian.
+def _haar_bases(dim: int, seeds) -> np.ndarray:
+    """Haar bases (columns), one per seed: one stacked QR of Ginibre draws from
+    ``default_rng(seed)``, the R-diagonal rephased positive so each is unique
+    (Mezzadri); each block has the bits of its own 2-d QR."""
+    z = np.empty((len(seeds), dim, dim), dtype=complex)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[t] = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
-    QR of a Ginibre matrix with the R-diagonal rephased to be positive; that
-    phase convention makes the factorization (and hence the sample) unique.
-    """
+
+def random_basis(dim: int, seed: int) -> BasisSample:
+    """Haar-distributed orthonormal basis from a seeded complex Gaussian."""
     if dim < 2:
         raise DimensionMismatch(f"basis dimension must be at least 2, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return BasisSample(q, seed)
+    return BasisSample(_haar_bases(dim, [seed])[0], seed)
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,10 @@ class QuadraticFrame:
     def dim(self) -> int | None:
         return self.rho.shape[0]
 
-    def value(self, v: np.ndarray) -> float:
-        return float(np.real(np.conj(v) @ self.rho @ v))
+    def values(self, bases: np.ndarray) -> np.ndarray:
+        # column by column: each basis gets the gemv and dot of a 1-d ``conj(v) @ rho @ v``
+        cols = (bases[:, :, i : i + 1] for i in range(bases.shape[-1]))
+        return np.array([np.real(np.conj(v).swapaxes(1, 2) @ self.rho @ v)[:, 0, 0] for v in cols])
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,13 @@ class PowerOverlapFrame:
     def dim(self) -> int | None:
         return self.w.shape[0]
 
-    def value(self, v: np.ndarray) -> float:
-        return float(np.abs(np.vdot(v, self.w)) ** self.alpha)
+    def values(self, bases: np.ndarray) -> np.ndarray:
+        overlaps = np.abs(np.vecdot(bases, self.w[:, None], axis=-2)).T.tolist()
+        # libm pow on each value; numpy's array power rounds differently
+        try:
+            return np.array([[x**self.alpha for x in row] for row in overlaps])
+        except (OverflowError, ZeroDivisionError):  # where numpy's scalar power gives inf
+            return np.array([[np.float64(x) ** self.alpha for x in row] for row in overlaps])
 
 
 @dataclass(frozen=True)
@@ -128,18 +139,24 @@ class CustomFrame:
     def dim(self) -> int | None:
         return None
 
-    def value(self, v: np.ndarray) -> float:
-        return float(self.evaluator(v))
+    def values(self, bases: np.ndarray) -> np.ndarray:
+        # basis by basis, column by column, as the serial audit calls it
+        return np.array([[float(self.evaluator(v)) for v in basis.T] for basis in bases]).T
 
 
+# ``values`` maps a (T, d, d) stack of bases (columns) to the (d, T) array of values
 FrameFunction = QuadraticFrame | PowerOverlapFrame | CustomFrame
+
+
+def _check_frame_dim(p: FrameFunction, dim: int) -> None:
+    if p.dim is not None and p.dim != dim:
+        raise DimensionMismatch(f"frame function dim {p.dim} != basis dim {dim}")
 
 
 def frame_sum(p: FrameFunction, basis: BasisSample) -> float:
     """Sum of ``p`` over the basis vectors."""
-    if p.dim is not None and p.dim != basis.dim:
-        raise DimensionMismatch(f"frame function dim {p.dim} != basis dim {basis.dim}")
-    return float(sum(p.value(basis.vectors[:, i]) for i in range(basis.dim)))
+    _check_frame_dim(p, basis.dim)
+    return float(sum(p.values(basis.vectors[None])[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -157,6 +174,16 @@ class AuditReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+_AUDIT_CHUNK = 256  # bases per stacked draw, which bounds memory at large trial counts
+
+
+def _check_audit_size(dim: int, trials: int) -> None:
+    if dim < 3:
+        raise DimensionMismatch("frame-function audit requires dimension greater than two")
+    if trials < 1:
+        raise ParseError("trials must be at least 1")
+
+
 def audit(
     p: FrameFunction, dim: int, trials: int, seed: int = 0, tol: float = AUDIT_TOL
 ) -> AuditReport:
@@ -165,12 +192,19 @@ def audit(
     Dimension 3 is required: the normalization condition only pins down
     quadratic forms in dimension greater than two.  A NaN deviation is a
     ``VIOLATION``, reported as ``max_dev`` with the seed of its basis.
+    Bases are drawn and evaluated in stacks, but trial ``t`` still draws from
+    its own ``default_rng(seed + t)``, so ``random_basis(dim, worst_basis_seed)``
+    reproduces the worst basis, and a ``CustomFrame`` is called in serial order.
     """
-    if dim < 3:
-        raise DimensionMismatch("frame-function audit requires dimension greater than two")
-    if trials < 1:
-        raise ParseError("trials must be at least 1")
-    devs = [abs(frame_sum(p, random_basis(dim, seed + t)) - 1.0) for t in range(trials)]
+    _check_audit_size(dim, trials)
+    _check_frame_dim(p, dim)
+    devs: list[float] = []
+    for start in range(seed, seed + trials, _AUDIT_CHUNK):
+        bases = _haar_bases(dim, range(start, min(start + _AUDIT_CHUNK, seed + trials)))
+        _check_orthonormal(bases, _BASIS_TOL, "basis")
+        bases.setflags(write=False)
+        # Python sum adds the columns in order; np.sum pairs them where they are contiguous
+        devs += np.abs(sum(p.values(bases)) - 1.0).tolist()
     worst = int(np.argmax(devs))  # the first maximum, or the first NaN
     verdict = "CONSISTENT" if devs[worst] <= tol else "VIOLATION"
     return AuditReport(p.kind, dim, trials, devs[worst], sum(devs) / trials, seed + worst, verdict)

@@ -38,8 +38,10 @@ def _fmt17(x: float) -> str:
 
 
 def _check_orthonormal(block: np.ndarray, tol: float, what: str, error=NonOrthonormalBasis) -> None:
-    """Raise ``error`` unless ``max |B†B - I|`` over the columns is ``<= tol``; NaN fails."""
-    defect = float(np.max(np.abs(block.conj().T @ block - np.eye(block.shape[1]))))
+    """Raise ``error`` unless ``max |B†B - I|`` over the columns of the block (or of every
+    block in a stack) is ``<= tol``; NaN fails."""
+    gram = np.conj(block).swapaxes(-1, -2) @ block
+    defect = float(np.max(np.abs(gram - np.eye(block.shape[-1]))))
     if not defect <= tol:
         raise error(f"{what} columns deviate from orthonormality by {defect:.3g}")
 

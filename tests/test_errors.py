@@ -59,7 +59,9 @@ CASES = {
     "audit-trials": (ParseError, lambda: audit(FRAME, 3, 0)),
     "phase-lengths": (DimensionMismatch, lambda: phase_transform((1, 2), (0.1,), EYE2)),
     "phase-repeats": (IndexOutOfRange, lambda: phase_transform((1, 1), (0.1, 0.2), EYE2)),
+    "phase-empty-basis": (NonOrthonormalBasis, lambda: phase_transform((1,), (0.1,), np.zeros((2, 0)))),
     "swap-same": (IndexOutOfRange, lambda: swap_transform(1, 1, EYE2)),
+    "swap-empty-basis": (NonOrthonormalBasis, lambda: swap_transform(1, 2, np.zeros((2, 0)))),
     "state-finite": (ParseError, lambda: make_state([[np.nan, 0.0], [0.0, 1.0]])),
     "amps-finite": (ParseError, lambda: BipartiteState(np.array([[np.inf, 0.0], [0.0, 1.0]]))),
 }
