@@ -9,6 +9,7 @@ envariant, derivation incomplete, audit violation), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -173,7 +174,7 @@ def _cmd_finegrain(args) -> tuple[dict, int]:
 
 
 def _cmd_gleason(args) -> tuple[dict, int]:
-    _check_audit_size(args.dim, args.trials)
+    _check_audit_size(args.dim, args.trials, args.seed)
     if args.kind == "quadratic":
         rng = np.random.default_rng(args.seed)
         g = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal((args.dim, args.dim))
@@ -201,12 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Envariance checks, probability-equality derivations, "
         "rational Born weights and frame-function audits.",
     )
-    env_seed = os.environ.get("ENVARKIT_SEED", "0")
-    try:
-        default_seed = int(env_seed)
-    except ValueError as exc:
-        raise ParseError(f"ENVARKIT_SEED must be an integer, got {env_seed!r}") from exc
-    parser.add_argument("--seed", type=int, default=default_seed)
+    # no default: ``main`` puts the ENVARKIT_SEED value into the namespace first
+    parser.add_argument("--seed", type=int, help="default: ENVARKIT_SEED, else 0")
     parser.add_argument("--tol", type=float, default=None, help="override the module tolerance")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -236,6 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: construction costs far more than a parse
+    return build_parser()
+
+
+def _env_seed() -> int:
+    env_seed = os.environ.get("ENVARKIT_SEED", "0")
+    try:
+        return int(env_seed)
+    except ValueError as exc:
+        raise ParseError(f"ENVARKIT_SEED must be an integer, got {env_seed!r}") from exc
+
+
 _COMMANDS = {
     "schmidt": _cmd_schmidt,
     "envariance": _cmd_envariance,
@@ -247,19 +258,20 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # read on every call, before parsing; an explicit --seed replaces it
+        args = _parser().parse_args(argv, argparse.Namespace(seed=_env_seed()))
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
             raise ParseError(f"--tol must be a finite nonnegative number, got {args.tol}")
         report, code = _COMMANDS[args.command](args)
+        text = _render(report, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (EnvarkitError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = _render(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -57,6 +57,7 @@ def random_basis(dim: int, seed: int) -> BasisSample:
     """Haar-distributed orthonormal basis from a seeded complex Gaussian."""
     if dim < 2:
         raise DimensionMismatch(f"basis dimension must be at least 2, got {dim}")
+    _check_seed(seed)
     return BasisSample(_haar_bases(dim, [seed])[0], seed)
 
 
@@ -177,11 +178,18 @@ class AuditReport:
 _AUDIT_CHUNK = 256  # bases per stacked draw, which bounds memory at large trial counts
 
 
-def _check_audit_size(dim: int, trials: int) -> None:
+def _check_seed(seed: int) -> None:
+    # numpy's default_rng rejects it with a bare ValueError
+    if seed < 0:
+        raise ParseError(f"seed must be nonnegative, got {seed}")
+
+
+def _check_audit_size(dim: int, trials: int, seed: int) -> None:
     if dim < 3:
         raise DimensionMismatch("frame-function audit requires dimension greater than two")
     if trials < 1:
         raise ParseError("trials must be at least 1")
+    _check_seed(seed)
 
 
 def audit(
@@ -196,7 +204,7 @@ def audit(
     its own ``default_rng(seed + t)``, so ``random_basis(dim, worst_basis_seed)``
     reproduces the worst basis, and a ``CustomFrame`` is called in serial order.
     """
-    _check_audit_size(dim, trials)
+    _check_audit_size(dim, trials, seed)
     _check_frame_dim(p, dim)
     devs: list[float] = []
     for start in range(seed, seed + trials, _AUDIT_CHUNK):

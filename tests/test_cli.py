@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from envarkit import make_state, save_state
+from envarkit import cli, make_state, save_state
 from envarkit.cli import main
 from helpers import bell_state, uneven_state
 
@@ -217,6 +217,58 @@ class TestGleasonCommand:
         code, out, _ = run(capsys, "--seed", "7", "gleason", "quadratic", "--trials", "5")
         assert code == 0 and json.loads(out)["seed"] == 7
 
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, bell_file):
+        code, out, err = run(capsys, "--seed", "-1", "gleason", "quadratic", "--trials", "5")
+        assert code == 2 and out == "" and err.startswith("ParseError: ")
+        monkeypatch.setenv("ENVARKIT_SEED", "-1")
+        code, out, err = run(capsys, "gleason", "quadratic", "--trials", "5")
+        assert code == 2 and out == "" and err.startswith("ParseError: ")
+        # a command that draws nothing ignores the seed
+        code, _, _ = run(capsys, "schmidt", bell_file)
+        assert code == 0
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's state."""
+
+    def test_env_seed_change_between_calls(self, capsys, monkeypatch):
+        seeds = []
+        for value in ("3", "11"):
+            monkeypatch.setenv("ENVARKIT_SEED", value)
+            code, out, _ = run(capsys, "gleason", "quadratic", "--trials", "5")
+            assert code == 0
+            seeds.append(json.loads(out)["seed"])
+        assert seeds == [3, 11]
+
+    def test_bad_env_seed_with_flag_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENVARKIT_SEED", "abc")
+        code, out, err = run(capsys, "--seed", "7", "gleason", "quadratic", "--trials", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("ParseError: ") and "ENVARKIT_SEED" in err
+
+    def test_disable_list_not_shared(self, capsys, bell_file):
+        code, out, _ = run(capsys, "derive", bell_file, "--disable", "PAIRING")
+        assert code == 1 and json.loads(out)["probabilities"] is None
+        code, out, _ = run(capsys, "derive", bell_file)
+        assert code == 0 and json.loads(out)["probabilities"] == ["1/2", "1/2"]
+
+    def test_parser_built_once(self, capsys, monkeypatch, bell_file):
+        real = cli.build_parser
+        built = []
+
+        def counting():
+            built.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(5):
+                assert run(capsys, "schmidt", bell_file)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys, bell_file):
@@ -232,3 +284,11 @@ class TestDeterminism:
         code, out, _ = run(capsys, "--out", str(out_path), "schmidt", bell_file)
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["rank"] == 2
+
+    @pytest.mark.parametrize(
+        "target, error", [("missing-dir/report.json", "FileNotFoundError"), (".", "IsADirectoryError")]
+    )
+    def test_failed_out_write_exit_2(self, capsys, bell_file, tmp_path, target, error):
+        code, out, err = run(capsys, "--out", str(tmp_path / target), "schmidt", bell_file)
+        assert code == 2 and out == ""
+        assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1

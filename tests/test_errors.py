@@ -57,6 +57,8 @@ CASES = {
     "power-nan-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), np.nan)),
     "audit-dim": (DimensionMismatch, lambda: audit(QuadraticFrame(EYE2 / 2), 2, 1)),
     "audit-trials": (ParseError, lambda: audit(FRAME, 3, 0)),
+    "negative-seed-audit": (ParseError, lambda: audit(FRAME, 3, 2, -1)),
+    "negative-seed-basis": (ParseError, lambda: random_basis(3, -1)),
     "phase-lengths": (DimensionMismatch, lambda: phase_transform((1, 2), (0.1,), EYE2)),
     "phase-repeats": (IndexOutOfRange, lambda: phase_transform((1, 1), (0.1, 0.2), EYE2)),
     "phase-empty-basis": (NonOrthonormalBasis, lambda: phase_transform((1,), (0.1,), np.zeros((2, 0)))),

@@ -70,6 +70,14 @@ def test_golden_entry(entry, tmp_path):
     assert run_entry(entry, tmp_path / "report.json") == _results(entry)
 
 
+def test_golden_order_independence(tmp_path):
+    # the parser is shared by every call in a process: no entry may depend on those before it
+    entries = _entries()
+    forward = {e["name"]: run_entry(e, tmp_path / "report.json") for e in entries}
+    backward = {e["name"]: run_entry(e, tmp_path / "report.json") for e in reversed(entries)}
+    assert forward == backward == {e["name"]: _results(e) for e in entries}
+
+
 def _committed_entries() -> list[dict]:
     """The manifest as of the last commit, or as on disk outside a git checkout."""
     try:
