@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
@@ -86,9 +87,10 @@ def _cmd_schmidt(args) -> tuple[dict, int]:
 
 def _cmd_envariance(args) -> tuple[dict, int]:
     state = load_state(args.state)
-    u_s = _parse_transform(args.transform, schmidt(state).system_vectors)
+    dec = schmidt(state)
+    u_s = _parse_transform(args.transform, dec.system_vectors)
     tol = args.tol if args.tol is not None else ENVAR_TOL
-    verdict = check_envariance(state, u_s, tol=tol)
+    verdict = check_envariance(state, u_s, tol=tol, decomposition=dec)
     # a verdict without a counter already carries the oracle's residual
     if verdict.counter is None:
         oracle_residual = verdict.residual
@@ -196,8 +198,16 @@ def _cmd_gleason(args) -> tuple[dict, int]:
     return report, 0 if report["verdict"] == "CONSISTENT" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ParseError`` on a usage error, so ``main`` reports it like any other
+    input error; subparsers are built from the same class.  ``-h`` still exits."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="envarkit",
         description="Envariance checks, probability-equality derivations, "
         "rational Born weights and frame-function audits.",

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis
-from .schmidt import DEGENERACY_TOL, SCHMIDT_CUTOFF, degeneracy_blocks, schmidt
+from .schmidt import DEGENERACY_TOL, SCHMIDT_CUTOFF, SchmidtDecomposition, degeneracy_blocks, schmidt
 from .states import (
     _BASIS_TOL,
     BipartiteState,
@@ -109,6 +109,7 @@ def check_envariance(
     *,
     tol: float = ENVAR_TOL,
     up_to_phase: bool = False,
+    decomposition: SchmidtDecomposition | None = None,
 ) -> EnvarianceVerdict:
     """Decide envariance of ``state`` under ``u_s`` and construct the counter.
 
@@ -123,10 +124,12 @@ def check_envariance(
     modulo a global phase instead.  ``tol`` bounds the off-block entries of
     ``a``, the support leak and the restored residual.  A negative verdict
     reports the oracle's residual, which can fall below ``tol``.
+    ``decomposition``, when given, must be ``schmidt(state)``; it saves
+    computing the Schmidt form again.
     """
     if u_s.dim != state.dim_s:
         raise DimensionMismatch(f"unitary dim {u_s.dim} != system dim {state.dim_s}")
-    dec = schmidt(state)
+    dec = decomposition if decomposition is not None else schmidt(state)
     svecs, evecs, lam = dec.system_vectors, dec.env_vectors, dec.coefficients
     r = dec.rank
     a = svecs.conj().T @ u_s.mat @ svecs

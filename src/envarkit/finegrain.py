@@ -100,10 +100,11 @@ def fine_grain(weights: RationalWeights, n: int) -> FineGrainedState:
     if n != len(weights.numerators):
         raise WeightMismatch(f"{len(weights.numerators)} weights cannot fill {n} branches")
     m_total = weights.denominator
+    amp = 1.0 / np.sqrt(m_total)
     amps = np.zeros((n, m_total), dtype=complex)
     branch_map = _branch_blocks(weights.numerators)
     for k, block in enumerate(branch_map):
-        amps[k, block[0] - 1 : block[-1]] = 1.0 / np.sqrt(m_total)
+        amps[k, block[0] - 1 : block[-1]] = amp
     return FineGrainedState(make_state(amps), branch_map)
 
 
@@ -114,16 +115,17 @@ def _branch_blocks(numerators: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 class _Shares(tuple):
-    """The engine's ``1/M`` shares of one grain, kept also as integer numerators over M."""
+    """The engine's ``1/M`` shares of one grain, kept also as prefix sums of their
+    integer numerators over M: ``prefix[j]`` adds up the first j."""
 
-    numerators: tuple[int, ...]
+    prefix: tuple[int, ...]
 
     def __new__(cls, shares, m_total: int) -> "_Shares":
         self = super().__new__(cls, shares)
         scaled = [share * m_total for share in self]
         if any(s.denominator != 1 for s in scaled):
             raise IncompleteDerivation(f"the shares of grain {m_total} are not multiples of 1/{m_total}")
-        self.numerators = tuple(s.numerator for s in scaled)
+        self.prefix = tuple(accumulate((s.numerator for s in scaled), initial=0))
         return self
 
 
@@ -139,7 +141,7 @@ def equal_branch_derivation(
     receives exactly ``1/M``.  Results are cached because they depend only
     on M; the cache holds the 64 most recent grains, enough for every grain
     of the M <= 32 acceptance sweep to stay resident.  The shares also carry
-    their integer numerators over M, which counting adds.
+    the prefix sums of their integer numerators over M, which counting reads.
     """
     state = make_state(np.eye(m_total, dtype=complex) / np.sqrt(m_total))
     swaps = tuple((k, k + 1) for k in range(1, m_total))
@@ -156,12 +158,11 @@ def born_via_counting(weights: RationalWeights) -> list[Fraction]:
     Routes through the derivation engine's equal-branch result rather than
     reading squared coefficients: branch k aggregates the ``1/M`` shares of
     the sub-branches listed in its fine-graining block, summed as integer
-    numerators over M.
+    numerators over M (a difference of two prefix sums, since the block is
+    consecutive).
     """
     m_total = weights.denominator
     _, _, shares = equal_branch_derivation(m_total)
-    numerators = shares.numerators
-    return [
-        Fraction(sum(numerators[j - 1] for j in block), m_total)
-        for block in _branch_blocks(weights.numerators)
-    ]
+    prefix = shares.prefix
+    ends = accumulate(weights.numerators)
+    return [Fraction(prefix[end] - prefix[end - m], m_total) for m, end in zip(weights.numerators, ends)]

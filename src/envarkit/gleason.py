@@ -43,11 +43,12 @@ class BasisSample:
 def _haar_bases(dim: int, seeds) -> np.ndarray:
     """Haar bases (columns), one per seed: one stacked QR of Ginibre draws from
     ``default_rng(seed)``, the R-diagonal rephased positive so each is unique
-    (Mezzadri); each block has the bits of its own 2-d QR."""
-    z = np.empty((len(seeds), dim, dim), dtype=complex)
+    (Mezzadri); each block has the bits of its own 2-d QR.  A seed's one
+    ``(2, d, d)`` draw is the stream of a real then an imaginary ``(d, d)`` draw."""
+    raw = np.empty((len(seeds), 2, dim, dim))
     for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[t] = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+        np.random.default_rng(seed).standard_normal(out=raw[t])
+    z = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

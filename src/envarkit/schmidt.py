@@ -19,6 +19,7 @@ from .states import make_state, reduced_density_system
 
 SCHMIDT_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,12 @@ class SchmidtDecomposition:
         r = lam.size
         if svecs.ndim != 2 or evecs.ndim != 2 or svecs.shape[1] != r or evecs.shape[1] != r:
             raise DimensionMismatch("vector blocks must supply one column per coefficient")
-        if np.any(np.diff(lam) > 0):
+        if (lam[1:] > lam[:-1]).any():
             raise ParseError("coefficients must be sorted descending")
-        if not np.all(lam > SCHMIDT_CUTOFF):
+        if not (lam > SCHMIDT_CUTOFF).all():
             raise ParseError(f"coefficients must exceed the zero cutoff {SCHMIDT_CUTOFF}")
-        if not abs(float(np.sum(lam**2)) - 1.0) <= 1e-9:
+        # add.reduce is what np.sum runs, so the same bits, without its dispatch
+        if not abs(float(np.add.reduce(lam**2)) - 1.0) <= 1e-9:
             raise NotNormalized("squared coefficients must sum to 1 within 1e-9")
         _check_orthonormal(svecs, 1e-9, "system_vectors")
         _check_orthonormal(evecs, 1e-9, "env_vectors")
@@ -69,19 +71,20 @@ def schmidt(state: BipartiteState) -> SchmidtDecomposition:
     largest-magnitude component is real nonnegative, with the compensating
     phase pushed into the paired environment vector; output is therefore
     deterministic up to eigensolver freedom inside degenerate blocks.
+    Each column's phase factor is the scalar ``conj(p) / abs(p)`` of its
+    pivot ``p``: numpy's array ``abs`` can differ from it in the last bit.
     """
     rho = reduced_density_system(state)
     evals, evecs = np.linalg.eigh(rho)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
-    noise_floor = rho.shape[0] * np.finfo(float).eps * max(float(evals[0]), 0.0)
+    noise_floor = rho.shape[0] * _EPS * max(float(evals[0]), 0.0)
     keep = evals > max(SCHMIDT_CUTOFF**2, noise_floor)
     lam = np.sqrt(evals[keep])
-    svecs = evecs[:, keep].copy()
-    for k in range(lam.size):
-        pivot = int(np.argmax(np.abs(svecs[:, k])))
-        phase = svecs[pivot, k]
-        svecs[:, k] *= np.conj(phase) / abs(phase)
+    svecs = evecs[:, keep]  # boolean indexing copies
+    # argmax takes each column's first largest-magnitude entry as its pivot
+    pivots = svecs[np.abs(svecs).argmax(axis=0), np.arange(lam.size)]
+    svecs *= [np.conj(p) / abs(p) for p in pivots]
     evecs_out = state.amps.T @ svecs.conj() / lam[np.newaxis, :]
     return SchmidtDecomposition(lam, svecs, evecs_out)
 

@@ -40,6 +40,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Wrap ``module.name`` wherever an envarkit module holds it; returns the list of calls."""
+    real = getattr(sys.modules[module], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "envarkit" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 class TestSchmidtCommand:
     def test_bell_report(self, capsys, bell_file):
         code, out, _ = run(capsys, "schmidt", bell_file)
@@ -93,19 +108,22 @@ class TestEnvarianceCommand:
         assert report["residual"] > 0.3
 
     def test_negative_verdict_runs_the_oracle_once(self, capsys, monkeypatch, uneven_file):
-        real = sys.modules["envarkit.envariance"].oracle_best_counter
-        calls = []
-
-        def counting(state, u_s):
-            calls.append(state)
-            return real(state, u_s)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "envarkit" and getattr(module, "oracle_best_counter", None) is real:
-                monkeypatch.setattr(module, "oracle_best_counter", counting)
+        calls = count_calls(monkeypatch, "envarkit.envariance", "oracle_best_counter")
         code, out, _ = run(capsys, "envariance", uneven_file, "swap:1,2")
         report = json.loads(out)
         assert code == 1 and report["oracle_residual"] == report["residual"] > 0.3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", ["swap:1,2", "phase:0.7,-0.3"])
+    def test_runs_one_schmidt(self, capsys, monkeypatch, bell_file, spec):
+        # the oracle, run on a positive verdict, computes its own SVD and no Schmidt form
+        calls = count_calls(monkeypatch, "envarkit.schmidt", "schmidt")
+        assert run(capsys, "envariance", bell_file, spec)[0] == 0
+        assert len(calls) == 1
+
+    def test_negative_verdict_runs_one_schmidt(self, capsys, monkeypatch, uneven_file):
+        calls = count_calls(monkeypatch, "envarkit.schmidt", "schmidt")
+        assert run(capsys, "envariance", uneven_file, "swap:1,2")[0] == 1
         assert len(calls) == 1
 
     def test_bell_phase(self, capsys, bell_file):
@@ -147,16 +165,7 @@ class TestDeriveCommand:
         assert all(entry["s1_equals_s2"] is False for entry in report["ablations"])
 
     def test_ablate_runs_one_schmidt(self, capsys, monkeypatch, even4_file):
-        real = sys.modules["envarkit.schmidt"].schmidt
-        calls = []
-
-        def counting(state):
-            calls.append(state)
-            return real(state)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "envarkit" and getattr(module, "schmidt", None) is real:
-                monkeypatch.setattr(module, "schmidt", counting)
+        calls = count_calls(monkeypatch, "envarkit.schmidt", "schmidt")
         code, out, _ = run(capsys, "derive", even4_file, "--ablate")
         assert code == 0 and json.loads(out)["probabilities"] == ["1/4"] * 4
         assert len(calls) == 1
@@ -292,3 +301,19 @@ class TestDeterminism:
         code, out, err = run(capsys, "--out", str(tmp_path / target), "schmidt", bell_file)
         assert code == 2 and out == ""
         assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["gleason", "quadratic", "--dim", "x"], ["bogus"], ["schmidt"], ["--bogus"], ["--seed", "q"], []],
+    )
+    def test_usage_error_returns_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("ParseError: ") and len(err.splitlines()) == 1
+
+    def test_help_still_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0 and "usage: envarkit" in capsys.readouterr().out

@@ -138,6 +138,18 @@ class TestCheckEnvariance:
         relaxed = check_envariance(state, u, up_to_phase=True)
         assert strict.envariant == relaxed.envariant is True
 
+    def test_given_decomposition_gives_the_same_verdict(self):
+        for seed in range(6):
+            state = spectrum_state([0.6, 0.6, np.sqrt(1 - 0.72)], seed_s=seed, seed_e=seed + 9)
+            dec = schmidt(state)
+            for u in (swap_transform(1, 2, dec.system_vectors), swap_transform(2, 3, dec.system_vectors)):
+                fresh = check_envariance(state, u)
+                given = check_envariance(state, u, decomposition=dec)
+                assert (given.envariant, given.residual) == (fresh.envariant, fresh.residual)
+                assert (given.counter is None) == (fresh.counter is None)
+                if fresh.counter is not None:
+                    assert given.counter.mat.tobytes() == fresh.counter.mat.tobytes()
+
     def test_composition_of_envariant_transforms(self):
         state = bell_state()
         dec = schmidt(state)
@@ -147,6 +159,18 @@ class TestCheckEnvariance:
 
 
 class TestOracle:
+    def test_never_computes_a_schmidt_form(self, monkeypatch):
+        # the oracle audits check_envariance, so it must not share its decomposition
+        import envarkit.envariance as envariance
+
+        def forbidden(state):
+            raise AssertionError("oracle_best_counter called schmidt")
+
+        monkeypatch.setattr(envariance, "schmidt", forbidden)
+        state = uneven_state()
+        u = swap_transform(1, 2, schmidt(state).system_vectors)
+        assert oracle_best_counter(state, u)[1] > 0.3
+
     def test_identity_on_bell(self):
         counter, residual = oracle_best_counter(bell_state(), LocalUnitary.identity(2))
         assert residual <= 1e-12

@@ -154,6 +154,18 @@ class TestStackedOrthonormalityCheck:
         with pytest.raises(NonOrthonormalBasis):
             _check_orthonormal(stack, _BASIS_TOL, "basis")
 
+    @pytest.mark.parametrize(
+        "block", [np.s_[:, :, :], np.s_[5], np.s_[5, :, :2]], ids=["stack", "square", "columns"]
+    )
+    def test_defect_matches_the_identity_reference(self, block):
+        stack = _haar_bases(4, range(8))
+        stack[5, 1, 0] += 3e-7
+        vecs = stack[block]
+        gram = np.conj(vecs).swapaxes(-1, -2) @ vecs
+        want = float(np.max(np.abs(gram - np.eye(vecs.shape[-1]))))
+        with pytest.raises(NonOrthonormalBasis, match=f"by {want:.3g}$"):
+            _check_orthonormal(vecs, _BASIS_TOL, "basis")
+
     @pytest.mark.parametrize("where", [(0, 0, 0), (17, 2, 4), (39, 4, 1)])
     def test_nan_entry_fails(self, where):
         stack = _haar_bases(5, range(40))

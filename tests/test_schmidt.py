@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from envarkit import (
+    SCHMIDT_CUTOFF,
     NonOrthonormalBasis,
+    NotNormalized,
     ParseError,
+    RationalWeights,
     SchmidtDecomposition,
     apply_env,
     apply_system,
@@ -15,8 +18,10 @@ from envarkit import (
     decomposition_to_json,
     degeneracy_blocks,
     equal_up_to_global_phase,
+    fine_grain,
     is_even,
     make_state,
+    random_basis,
     reconstruct,
     reduced_density_system,
     schmidt,
@@ -181,3 +186,77 @@ def test_serialization_round_trip():
     assert np.array_equal(back.coefficients, dec.coefficients)
     assert np.array_equal(back.system_vectors, dec.system_vectors)
     assert np.array_equal(back.env_vectors, dec.env_vectors)
+
+
+def reference_schmidt(state):
+    """``schmidt`` and the checks of ``SchmidtDecomposition`` as first written:
+    a per-column phase loop, ``np.diff``, ``np.sum`` and a Gram defect against
+    ``np.eye``.  Returns the unvalidated coefficient and vector arrays."""
+    rho = state.amps @ state.amps.conj().T
+    evals, evecs = np.linalg.eigh(rho)
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    noise_floor = rho.shape[0] * np.finfo(float).eps * max(float(evals[0]), 0.0)
+    keep = evals > max(SCHMIDT_CUTOFF**2, noise_floor)
+    lam = np.sqrt(evals[keep])
+    svecs = evecs[:, keep].copy()
+    for k in range(lam.size):
+        pivot = int(np.argmax(np.abs(svecs[:, k])))
+        phase = svecs[pivot, k]
+        svecs[:, k] *= np.conj(phase) / abs(phase)
+    evecs_out = state.amps.T @ svecs.conj() / lam[np.newaxis, :]
+    if np.any(np.diff(lam) > 0):
+        raise ParseError("coefficients must be sorted descending")
+    if not np.all(lam > SCHMIDT_CUTOFF):
+        raise ParseError(f"coefficients must exceed the zero cutoff {SCHMIDT_CUTOFF}")
+    if not abs(float(np.sum(lam**2)) - 1.0) <= 1e-9:
+        raise NotNormalized("squared coefficients must sum to 1 within 1e-9")
+    for what, block in (("system_vectors", svecs), ("env_vectors", evecs_out)):
+        gram = np.conj(block).swapaxes(-1, -2) @ block
+        defect = float(np.max(np.abs(gram - np.eye(block.shape[-1]))))
+        if not defect <= 1e-9:
+            raise NonOrthonormalBasis(f"{what} columns deviate from orthonormality by {defect:.3g}")
+    return lam, svecs, evecs_out
+
+
+SPECTRA = ("distinct", "degenerate", "rank-deficient", "near-cutoff", "fine-grained")
+
+
+def drawn_state(kind: str, seed: int):
+    """A seeded state whose Schmidt spectrum is of the given kind."""
+    rng = np.random.default_rng([seed, SPECTRA.index(kind)])
+    if kind == "fine-grained":
+        m_total = int(rng.integers(1, 33))
+        n = int(rng.integers(1, min(4, m_total) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, m_total), n - 1, replace=False))
+        parts = np.diff([0, *cuts, m_total])
+        return fine_grain(RationalWeights(tuple(int(p) for p in parts), m_total), n).state
+    rank = int(rng.integers(2, 6))
+    if kind in ("distinct", "rank-deficient"):
+        lam = np.sort(rng.uniform(0.05, 1.0, rank))[::-1]
+    elif kind == "degenerate":
+        lam = np.sort(rng.choice(rng.uniform(0.05, 1.0, 2), rank))[::-1]
+    else:
+        lam = np.array([*rng.uniform(0.3, 1.0, rank - 1), 10 ** rng.uniform(-11, -4)])
+    dim_s = rank + (int(rng.integers(1, 3)) if kind == "rank-deficient" else 0)
+    dim_e = dim_s + int(rng.integers(0, 3))
+    svecs = random_basis(dim_s, int(rng.integers(2**31))).vectors[:, :rank]
+    evecs = random_basis(dim_e, int(rng.integers(2**31))).vectors[:, :rank]
+    return make_state((svecs * lam) @ evecs.T, normalize=True)
+
+
+@pytest.mark.parametrize("kind", SPECTRA)
+def test_schmidt_matches_serial_reference_bit_for_bit(kind):
+    for seed in range(80):
+        state = drawn_state(kind, seed)
+        try:
+            expected = reference_schmidt(state)
+        except (NonOrthonormalBasis, NotNormalized, ParseError) as exc:
+            with pytest.raises(type(exc)) as got:
+                schmidt(state)
+            assert str(got.value) == str(exc)
+            continue
+        dec = schmidt(state)
+        for want, have in zip(expected, (dec.coefficients, dec.system_vectors, dec.env_vectors)):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
