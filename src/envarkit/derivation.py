@@ -40,6 +40,13 @@ mapping; a hand-built term set gets the same run, replayed onto a store
 over its own terms.  A store builds each ``ProbTerm`` and ``MergeRecord``
 once, when a caller first reads it.
 
+Each rule unites its pairs as one batch.  A store of fewer than
+``_ARRAY_TERMS`` terms runs the batch through a parent list one pair at a
+time; a larger one keeps an array of class roots and finds the pairs the
+loop would keep, the position-ordered minimum spanning forest, in a few
+Boruvka rounds of array passes.  The size decides once, when the store is
+built, and both forms record the same merges in the same order.
+
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
 
@@ -50,6 +57,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -66,6 +74,11 @@ from .states import BipartiteState, apply_env, apply_system
 STATE_EQ_TOL = 1e-9
 
 RULE_NAMES = ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION", "NORMALIZATION")
+
+# Stores with at least this many terms unite batches in array passes (see
+# ``EqualityStore``).  On cold equal-branch derivations the two forms broke
+# even between 552 terms (M = 12) and 650 (M = 13).
+_ARRAY_TERMS = 600
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +390,69 @@ def _root(parent: list[int], node: int) -> int:
     return root
 
 
+def _jump(hook: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Point ``nodes`` straight at their roots in the forest ``hook``, by pointer doubling."""
+    while True:
+        top = hook[nodes]
+        up = hook[top]
+        if np.array_equal(up, top):
+            return top
+        hook[nodes] = up
+
+
+def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Positions of the edges ``(lefts[n], rights[n])`` that a union in order keeps.
+
+    ``root`` maps each id to its class's smallest id; it is updated in place
+    to the partition after the batch.  A union in order keeps an edge exactly
+    when it joins two classes that no earlier edge has joined, so the kept
+    edges are the minimum spanning forest of the class graph with each edge
+    weighted by its position, unique since the weights differ.  Boruvka
+    rounds find it: every class picks its lowest live edge, every pick
+    belongs to that forest, and the classes joined by picks contract to one
+    before the next round.  A round at least halves the classes with live
+    edges, and each is a fixed number of array passes.
+    """
+    a, b = root[lefts], root[rights]
+    edge = np.flatnonzero(a != b)
+    if not edge.size:
+        return edge
+    a, b = a[edge], b[edge]
+    hook = np.arange(root.size)  # each class root's pointer towards its new class
+    touched, kept = [], []
+    while edge.size:
+        n = edge.size
+        best = np.full(root.size, n)
+        rank = np.arange(n)
+        np.minimum.at(best, a, rank)
+        np.minimum.at(best, b, rank)
+        ends = np.concatenate((a, b))  # every class with a live edge, some twice
+        pick = best[ends]
+        chosen = np.zeros(n, dtype=bool)
+        chosen[pick] = True
+        kept.append(edge[chosen])
+        # each class points across its pick; two classes that picked the same
+        # edge point at each other, and the smaller becomes the root
+        other = a[pick] + b[pick] - ends
+        hook[ends] = other
+        stay = ends[(hook[other] == ends) & (ends < other)]
+        hook[stay] = stay
+        top = _jump(hook, ends)
+        touched.append(ends)
+        a, b = top[:n], top[n:]
+        live = a != b
+        edge, a, b = edge[live], a[live], b[live]
+    touched = np.concatenate(touched)
+    if len(kept) > 1:  # a class hooked in an early round may point at one hooked later
+        top = _jump(hook, touched)
+    # hooks follow picks, not ids: each new class takes its smallest old root
+    low = np.arange(root.size)
+    np.minimum.at(low, top, touched)
+    hook[touched] = low[top]
+    root[:] = hook[root]
+    return kept[0] if len(kept) == 1 else np.sort(np.concatenate(kept))
+
+
 class _Trace(_Lazy):
     """A store's effective merges as ``MergeRecord``s, in the order made."""
 
@@ -408,29 +484,43 @@ class EqualityStore:
     such a list.  The union-find and the trace hold ids only: ``trace``,
     ``classes()``, ``find()`` and ``minimal_trace()`` build each
     ``ProbTerm`` and ``MergeRecord`` they return once, on first read.
+
+    The union-find takes one of two forms, fixed when the store is built.
+    A store of fewer than ``_ARRAY_TERMS`` terms keeps a parent list and
+    unites a batch of pairs one at a time, which costs about a microsecond
+    per pair.  A larger store keeps a flat int64 array mapping each id to
+    its class's smallest id, and unites a whole batch in a few array passes
+    (``_spanning_forest``), which cost tens of microseconds however small
+    the batch.  Both keep the same merges, in the same order, with the same
+    roots.
     """
 
     def __init__(self, terms=()) -> None:
-        structural = isinstance(terms, _Terms)
-        self._terms = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank) if structural else []
         self._ids: dict[ProbTerm, int] = {}
-        self._parent = list(range(len(self._terms)))
+        if isinstance(terms, _Terms):
+            self._terms = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank)
+        else:
+            for term in terms:
+                self._ids.setdefault(term, len(self._ids))
+            self._terms = list(self._ids)
+        size = len(self._terms)
+        self._parent = np.arange(size, dtype=np.int64) if size >= _ARRAY_TERMS else list(range(size))
         self._rules: list[str] = []
         self._lefts = array("q")
         self._rights = array("q")
         self.trace: Sequence[MergeRecord] = _Trace(self)
-        if not structural:
-            for term in terms:
-                self.add(term)
 
     def add(self, term: ProbTerm) -> None:
         if self._id(term, required=False) is None:
             if isinstance(self._terms, _Terms):
                 self._terms = list(self._terms)
                 self._ids = {t: n for n, t in enumerate(self._terms)}
-            self._ids[term] = len(self._terms)
+            n = self._ids[term] = len(self._terms)
             self._terms.append(term)
-            self._parent.append(len(self._parent))
+            if isinstance(self._parent, list):
+                self._parent.append(n)
+            else:
+                self._parent = np.append(self._parent, n)
 
     def _id(self, term: ProbTerm, required: bool = True) -> int | None:
         terms = self._terms
@@ -439,9 +529,21 @@ class EqualityStore:
             raise UnknownTerm(str(term))
         return tid
 
+    def _root_of(self, tid: int) -> int:
+        parent = self._parent
+        return _root(parent, tid) if isinstance(parent, list) else int(parent[tid])
+
     def _unite(self, rule: str, lefts, rights) -> int:
         """Union ``lefts[n]`` with ``rights[n]`` (flat ids) in order; record the effective ones."""
         parent = self._parent
+        if not isinstance(parent, list):
+            lefts = np.ravel(lefts).astype(np.int64, copy=False)
+            rights = np.ravel(rights).astype(np.int64, copy=False)
+            kept = _spanning_forest(parent, lefts, rights)
+            self._lefts.frombytes(lefts[kept].tobytes())
+            self._rights.frombytes(rights[kept].tobytes())
+            self._rules.extend([rule] * kept.size)
+            return kept.size
         merged_left: list[int] = []
         merged_right: list[int] = []
         for left, right in zip(np.ravel(lefts).tolist(), np.ravel(rights).tolist()):
@@ -466,19 +568,24 @@ class EqualityStore:
         return len(merged_left)
 
     def find(self, term: ProbTerm) -> ProbTerm:
-        return self._terms[_root(self._parent, self._id(term))]
+        return self._terms[self._root_of(self._id(term))]
 
     def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> bool:
         """Union the two classes; record and report whether anything changed."""
         return self._unite(rule, self._id(left), self._id(right)) > 0
 
     def same_class(self, left: ProbTerm, right: ProbTerm) -> bool:
-        return _root(self._parent, self._id(left)) == _root(self._parent, self._id(right))
+        return self._root_of(self._id(left)) == self._root_of(self._id(right))
 
     def classes(self) -> list[list[ProbTerm]]:
+        parent = self._parent
+        if isinstance(parent, list):
+            roots = [_root(parent, node) for node in range(len(parent))]
+        else:
+            roots = parent.tolist()
         grouped: dict[int, list[ProbTerm]] = {}
-        for node in range(len(self._parent)):
-            grouped.setdefault(_root(self._parent, node), []).append(self._terms[node])
+        for node, root in enumerate(roots):
+            grouped.setdefault(root, []).append(self._terms[node])
         return list(grouped.values())
 
     def minimal_trace(self, left: ProbTerm, right: ProbTerm) -> list[MergeRecord]:
@@ -510,12 +617,22 @@ class EqualityStore:
         path.reverse()
         return path
 
+    def _replay(self, rules: Sequence[str], lefts: np.ndarray, rights: np.ndarray) -> None:
+        """Union ``lefts[n]`` with ``rights[n]`` under ``rules[n]`` in order, a batch per run of one rule."""
+        start = 0
+        for rule, run in groupby(rules):
+            stop = start + sum(1 for _ in run)
+            self._unite(rule, lefts[start:stop], rights[start:stop])
+            start = stop
+
     @classmethod
     def from_trace(cls, terms, trace) -> "EqualityStore":
         """Rebuild a store by replaying a recorded merge trace."""
         store = cls(terms)
-        for record in trace:
-            store.merge(record.rule, record.left, record.right)
+        records = list(trace)
+        ids = [(store._id(record.left), store._id(record.right)) for record in records]
+        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+        store._replay([record.rule for record in records], ids[:, 0], ids[:, 1])
         return store
 
 
@@ -583,11 +700,14 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
     """Pairs ``(i, j)``, ``i < j``, of exprs that ``STATE_FUNCTION`` merges, in order.
 
     Only pairs whose projections on a fixed unit vector differ by at most
-    ``STATE_EQ_TOL`` plus a rounding slack are norm-tested, in (i, j) order,
-    and a pair whose exprs are already linked through earlier pairs is
+    ``STATE_EQ_TOL`` plus a rounding slack are candidates, taken in (i, j)
+    order, and a pair whose exprs are already linked through earlier pairs is
     skipped.  The norm of ``m_i - m_j`` is read off the frames in O(r): a row
     whose entries share a column adds ``|v_i - v_j|^2``, any other row
-    ``|v_i|^2 + |v_j|^2``.
+    ``|v_i|^2 + |v_j|^2``.  Each first expr's unlinked partners are
+    norm-tested in one array pass, then linked in order; the tests have no
+    side effects, so testing a partner that an earlier link of the same
+    expr reaches changes nothing.
     """
     count, r = col.shape
     size = r * r
@@ -597,22 +717,29 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
     order = np.argsort(sigma, kind="stable")
     ranked = sigma[order]
     bound = STATE_EQ_TOL + 4 * size * np.finfo(float).eps
-    reach = np.searchsorted(ranked, ranked + bound, side="right").tolist()
-    order = order.tolist()
-    candidates = sorted(
-        (min(i, j), max(i, j)) for n, i in enumerate(order) for j in order[n + 1 : reach[n]]
-    )
-    link = list(range(count))
+    # ranks n < m are candidates when m < reach[n], i.e. when n >= low[m]
+    reach = np.searchsorted(ranked, ranked + bound, side="right")
+    low = np.searchsorted(reach, np.arange(count), side="right")
+    rank = np.empty(count, dtype=int)
+    rank[order] = np.arange(count)
+    start, stop = low[rank], reach[rank]  # each expr's window of ranks, itself included
+    link = np.arange(count)  # a label per expr, shared by linked exprs
     pairs = []
-    for i, j in candidates:
-        root_i, root_j = _root(link, i), _root(link, j)
-        if root_i == root_j:
-            continue  # every (sub, k) pair of terms already shares a class
-        vi, vj = val[i], val[j]
-        rows = np.where(col[i] == col[j], abs(vi - vj) ** 2, abs(vi) ** 2 + abs(vj) ** 2)
-        if float(np.sqrt(rows.sum())) <= STATE_EQ_TOL:
-            pairs.append((i, j))
-            link[root_j] = root_i
+    for i in np.flatnonzero(stop - start > 1).tolist():
+        partners = order[start[i] : stop[i]]
+        partners = partners[(partners > i) & (link[partners] != link[i])]
+        if not partners.size:
+            continue
+        partners.sort()
+        rows = np.where(
+            col[partners] == col[i],
+            abs(val[i] - val[partners]) ** 2,
+            abs(val[i]) ** 2 + abs(val[partners]) ** 2,
+        )
+        for j in partners[np.sqrt(rows.sum(axis=1)) <= STATE_EQ_TOL].tolist():
+            if link[j] != link[i]:
+                pairs.append((i, j))
+                link[link == link[j]] = link[i]
     return pairs
 
 
@@ -629,10 +756,10 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     store is the result for ``generate_terms``' lazy terms.  A hand-built
     term set (any other terms) must hold every structural term, else
     ``UnknownTerm`` names the first one missing; the structural trace, a
-    spanning forest, is then replayed onto a store over its terms with
-    ``merge``.  Every replayed merge is effective and comes in the same
-    order, and each root stays the earliest-added term in the hand-built
-    order.
+    spanning forest, is then replayed onto a store over its terms, one
+    batch per rule.  Every replayed merge is effective and comes in the
+    same order, and each root stays the earliest-added term in the
+    hand-built order.
 
     * ``PAIRING`` unions ``S:k`` with ``E:col[k]``.  Each row of a frame
       matrix holds one nonzero entry, so every system branch has exactly one
@@ -677,10 +804,8 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     if isinstance(terms, _Terms) and terms.exprs == term_set.exprs and terms.rank == r:
         return store
     hand_built = EqualityStore(terms)
-    for term in store._terms:
-        hand_built._id(term)
-    for record in store.trace:
-        hand_built.merge(record.rule, record.left, record.right)
+    ids = np.array([hand_built._id(term) for term in store._terms], dtype=np.int64)
+    hand_built._replay(store._rules, ids[store._lefts], ids[store._rights])
     return hand_built
 
 
@@ -710,8 +835,7 @@ def numeric_probabilities(
         raise IncompleteDerivation("normalization rule is disabled; no numbers can be emitted")
     d = (decomposition if decomposition is not None else schmidt(state)).rank
     base = StateExpr()
-    branch_terms = [ProbTerm("S", k, base) for k in range(1, d + 1)]
-    roots = {store.find(t) for t in branch_terms}
+    roots = {store._root_of(store._id(ProbTerm("S", k, base))) for k in range(1, d + 1)}
     if len(roots) != 1:
         raise IncompleteDerivation(
             f"{len(roots)} distinct classes cover the {d} branch terms; equality not derived"

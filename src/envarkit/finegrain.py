@@ -122,10 +122,10 @@ class _Shares(tuple):
 
     def __new__(cls, shares, m_total: int) -> "_Shares":
         self = super().__new__(cls, shares)
-        scaled = [share * m_total for share in self]
-        if any(s.denominator != 1 for s in scaled):
+        if any(m_total % share.denominator for share in self):
             raise IncompleteDerivation(f"the shares of grain {m_total} are not multiples of 1/{m_total}")
-        self.prefix = tuple(accumulate((s.numerator for s in scaled), initial=0))
+        numerators = (share.numerator * (m_total // share.denominator) for share in self)
+        self.prefix = tuple(accumulate(numerators, initial=0))
         return self
 
 

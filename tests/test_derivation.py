@@ -108,6 +108,15 @@ class TestSaturation:
         original = {frozenset(map(str, cls)) for cls in store.classes()}
         assert {frozenset(map(str, cls)) for cls in replayed.classes()} == original
 
+    def test_trace_replay_reproduces_a_large_store(self):
+        # 4,032 terms, so both stores take the array form
+        term_set = generate_terms(even_state(32), adjacent_swaps(32))
+        store = saturate(term_set, RuleSet())
+        replayed = EqualityStore.from_trace(term_set.terms, store.trace)
+        assert isinstance(replayed._parent, np.ndarray)
+        assert list(replayed.trace) == list(store.trace)
+        assert replayed.classes() == store.classes()
+
     def test_terms_and_records_are_built_only_when_read(self, monkeypatch):
         built = Counter()
         post_init = ProbTerm.__post_init__

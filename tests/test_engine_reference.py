@@ -14,12 +14,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from envarkit import ProbTerm, RuleSet, generate_terms, make_state, replay, saturate, schmidt
 from envarkit import EnvPhase, EnvSwap, EnvarkitError, StateExpr, SystemPhase, SystemSwap, TermSet
-from envarkit import UnknownTerm
+from envarkit import EqualityStore, UnknownTerm
 from envarkit import derivation
 from envarkit.derivation import (
     _ENV_SIDE,
@@ -33,6 +33,7 @@ from envarkit.schmidt import DEGENERACY_TOL
 from helpers import spectrum_state
 
 RULE_SETS = [RuleSet()] + [RuleSet().without(name) for name in RULE_NAMES]
+NO_MERGING = RuleSet(pairing=False, env_locality=False, sys_locality=False, state_function=False)
 
 # largest off-peak norm of a Schmidt-frame row that still counts as paired
 _PAIR_TOL = 1e-9
@@ -120,9 +121,11 @@ def assert_engine_matches_reference(term_set, rules: RuleSet) -> None:
 
 @pytest.mark.parametrize("m", range(1, 25))
 def test_equal_branch_states(m):
+    # from m = 13 up the store holds at least _ARRAY_TERMS terms
     state = make_state(np.eye(m, dtype=complex) / np.sqrt(m))
     term_set = generate_terms(state, [(k, k + 1) for k in range(1, m)])
-    assert_engine_matches_reference(term_set, RuleSet())
+    for rules in RULE_SETS + [NO_MERGING]:
+        assert_engine_matches_reference(term_set, rules)
 
 
 def test_tolerance_chain_that_is_not_transitive():
@@ -229,6 +232,15 @@ def test_hand_built_term_sets_match_the_reference(seed):
         assert [store.find(t) for t in terms] == [reference.find(t) for t in terms]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_array_stores_match_the_reference(seed, monkeypatch):
+    # every store, hand-built ones included, unites in array passes
+    monkeypatch.setattr(derivation, "_ARRAY_TERMS", 0)
+    test_hand_built_term_sets_match_the_reference(seed)
+    test_two_level_states_at_the_tolerance(0.9 * STATE_EQ_TOL, seed)
+    test_tolerance_chain_that_is_not_transitive()
+
+
 def test_hand_built_term_set_missing_a_term_names_it():
     base = generate_terms(spectrum_state([1.0, 1.0], seed_s=5, seed_e=6), [(1, 2)])
     missing = ProbTerm("E", 2, base.exprs[1])
@@ -236,6 +248,58 @@ def test_hand_built_term_set_missing_a_term_names_it():
     term_set = TermSet(terms, base.exprs, base.branches, base.base_state, base.decomposition)
     with pytest.raises(UnknownTerm, match=re.escape(str(missing))):
         saturate(term_set, RuleSet())
+
+
+# ---------------------------------------------------------------------------
+# The array union-find against the per-pair list loop
+# ---------------------------------------------------------------------------
+
+def store_of_form(size: int, array: bool) -> EqualityStore:
+    """A store of ``size`` terms whose union-find takes the requested form."""
+    terms = [ProbTerm("S", k, StateExpr()) for k in range(1, size + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derivation, "_ARRAY_TERMS", 0 if array else size + 1)
+        store = EqualityStore(terms)
+    assert isinstance(store._parent, np.ndarray) is array
+    return store
+
+
+@st.composite
+def edge_batches(draw):
+    """Ids, a batch that partly merges the store first, then batches of edges."""
+    size = draw(st.integers(1, 40))
+    node = st.integers(0, size - 1)
+    edge = st.tuples(node, node)
+    pool = draw(st.lists(edge, min_size=1, max_size=5))
+    chain = draw(st.permutations(range(size)))
+    links = list(zip(chain, chain[1:]))
+    batch = st.one_of(
+        st.lists(edge, max_size=60),
+        st.lists(st.sampled_from(pool), max_size=20),  # repeated edges
+        st.just(links[::-1] if draw(st.booleans()) else links),  # a long chain
+        node.map(lambda n: [(n, n)]),  # a single self-loop
+    )
+    return size, draw(st.lists(edge, max_size=size)), draw(st.lists(batch, max_size=4))
+
+
+@given(edge_batches())
+@example((1, [], [[]]))  # an empty batch
+@example((2, [], [[(1, 0)]]))  # a single edge
+@example((5, [(0, 1), (2, 3)], [[(1, 0), (3, 4), (0, 2), (4, 1), (2, 2)]]))  # partly merged
+@settings(max_examples=200, deadline=None)
+def test_array_pass_keeps_what_the_list_loop_keeps(drawn):
+    size, premerge, batches = drawn
+    stores = [store_of_form(size, array) for array in (False, True)]
+    for n, batch in enumerate([premerge, *batches]):
+        lefts = np.array([a for a, _ in batch], dtype=int)
+        rights = np.array([b for _, b in batch], dtype=int)
+        kept = [store._unite(f"rule{n}", lefts, rights) for store in stores]
+        assert kept[0] == kept[1]
+    listed, arrayed = stores
+    assert listed._lefts == arrayed._lefts and listed._rights == arrayed._rights
+    assert list(listed.trace) == list(arrayed.trace)
+    assert [listed._root_of(t) for t in range(size)] == arrayed._parent.tolist()
+    assert listed.classes() == arrayed.classes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envarkit import (
+    IncompleteDerivation,
     NoRationalFit,
     RationalWeights,
     WeightMismatch,
@@ -20,6 +22,7 @@ from envarkit import (
     rationalize,
     schmidt,
 )
+from envarkit.finegrain import _Shares
 
 
 class TestRationalize:
@@ -163,3 +166,10 @@ def test_cold_derivation_at_grain_96_peaks_below_16_mb():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_shares_that_are_not_multiples_of_one_over_the_grain_are_refused():
+    message = "the shares of grain 4 are not multiples of 1/4"
+    with pytest.raises(IncompleteDerivation, match=re.escape(message)):
+        _Shares([Fraction(1, 3)] * 3, 4)
+    assert _Shares([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], 4).prefix == (0, 2, 3, 4)
