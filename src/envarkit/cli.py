@@ -214,7 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # no default: ``main`` puts the ENVARKIT_SEED value into the namespace first
     parser.add_argument("--seed", type=int, help="default: ENVARKIT_SEED, else 0")
-    parser.add_argument("--tol", type=float, default=None, help="override the module tolerance")
+    parser.add_argument(
+        "--tol", type=float, default=None,
+        help="schmidt: the coefficient spread 'even' allows; envariance: the off-block entries "
+        "of S^H U S, the support leak and the restored residual, not the reported oracle "
+        "residual; gleason: the largest basis-sum deviation; derive, finegrain: unused",
+    )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)

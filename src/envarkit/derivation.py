@@ -36,9 +36,9 @@ The engine runs on structural ids, ``row * 2r + side * r + (k - 1)`` for
 branch k on side S (0) or E (1) of the row-th distinct expr, and the
 union-find and its trace hold only those ints.  ``generate_terms`` returns
 its terms as a lazy sequence in that order, so its term sets need no
-mapping; a hand-built term set gets the same run, replayed onto a store
-over its own terms.  A store builds each ``ProbTerm`` and ``MergeRecord``
-once, when a caller first reads it.
+mapping; a hand-built term set gets the same run on a store over its own
+terms, each structural id mapped once to its id there.  A store builds each
+``ProbTerm`` and ``MergeRecord`` once, when a caller first reads it.
 
 Each rule unites its pairs as one batch.  A store of fewer than
 ``_ARRAY_TERMS`` terms runs the batch through a parent list one pair at a
@@ -58,6 +58,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -276,11 +277,11 @@ class _Lazy(Sequence):
 
 
 class _Terms(_Lazy):
-    """Every term ``p(X:k; expr)`` over some exprs, in structural order.
+    """Every term ``p(X:k; expr)`` over some exprs, in structural order, then appended terms.
 
     Item ``row * 2r + side * r + (k - 1)`` is branch ``k`` on side ``"SE"[side]``
     of ``exprs[row]``; this is the order ``generate_terms`` emits and the id
-    ``saturate`` gives each term.
+    ``saturate`` gives each term.  Appended terms follow in the order added.
     """
 
     def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0) -> None:
@@ -288,13 +289,20 @@ class _Terms(_Lazy):
         self.rank = rank
         self._built: dict[int, ProbTerm] = {}
         self._rows: dict[StateExpr, int] | None = None
+        self._appended: dict[ProbTerm, int] = {}
 
     def __len__(self) -> int:
-        return 2 * self.rank * len(self.exprs)
+        return 2 * self.rank * len(self.exprs) + len(self._appended)
 
     def _make(self, n: int) -> ProbTerm:
         r = self.rank
         return ProbTerm("SE"[n // r % 2], n % r + 1, self.exprs[n // (2 * r)])
+
+    def append(self, term: ProbTerm) -> int:
+        """Make ``term``, not yet an item, the last item; return its number."""
+        n = self._appended[term] = len(self)
+        self._built[n] = term
+        return n
 
     def position(self, term: ProbTerm) -> int | None:
         """Item number of ``term`` (its first, if exprs repeat), or ``None``."""
@@ -305,7 +313,7 @@ class _Terms(_Lazy):
         row = self._rows.get(term.state)
         branches = range(1, self.rank + 1)
         if row is None or term.index not in branches:
-            return None
+            return self._appended.get(term)
         side = "SE".index(term.subsystem)
         return (2 * row + side) * self.rank + branches.index(term.index)
 
@@ -476,13 +484,12 @@ class EqualityStore:
     the partition, so replaying it reproduces the partition and the merge
     graph is a forest (paths between terms are unique).  Terms are ids in
     insertion order and every class is rooted at its smallest id, the term
-    added earliest.  The store keeps one term sequence.  Built from
-    ``generate_terms``' lazy terms it is structural: ids are the structural
-    ids over the distinct exprs, and terms are looked up by position without
-    being built.  Built from any other terms it keeps them in a list, looked
-    up by a dict; ``add`` on a structural store first turns its terms into
-    such a list.  The union-find and the trace hold ids only: ``trace``,
-    ``classes()``, ``find()`` and ``minimal_trace()`` build each
+    added earliest.  The store keeps one lazy term sequence: the structural
+    terms over the distinct exprs of ``generate_terms``' lazy terms if it is
+    built from them, then any other terms it is built from and those ``add``
+    brings in.  A structural term is looked up by position without being
+    built, any other by a dict.  The union-find and the trace hold ids only:
+    ``trace``, ``classes()``, ``find()`` and ``minimal_trace()`` build each
     ``ProbTerm`` and ``MergeRecord`` they return once, on first read.
 
     The union-find takes one of two forms, fixed when the store is built.
@@ -496,13 +503,12 @@ class EqualityStore:
     """
 
     def __init__(self, terms=()) -> None:
-        self._ids: dict[ProbTerm, int] = {}
         if isinstance(terms, _Terms):
             self._terms = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank)
         else:
-            for term in terms:
-                self._ids.setdefault(term, len(self._ids))
-            self._terms = list(self._ids)
+            self._terms = _Terms()
+            for term in dict.fromkeys(terms):
+                self._terms.append(term)
         size = len(self._terms)
         self._parent = np.arange(size, dtype=np.int64) if size >= _ARRAY_TERMS else list(range(size))
         self._rules: list[str] = []
@@ -511,21 +517,16 @@ class EqualityStore:
         self.trace: Sequence[MergeRecord] = _Trace(self)
 
     def add(self, term: ProbTerm) -> None:
-        if self._id(term, required=False) is None:
-            if isinstance(self._terms, _Terms):
-                self._terms = list(self._terms)
-                self._ids = {t: n for n, t in enumerate(self._terms)}
-            n = self._ids[term] = len(self._terms)
-            self._terms.append(term)
+        if self._terms.position(term) is None:
+            n = self._terms.append(term)
             if isinstance(self._parent, list):
                 self._parent.append(n)
             else:
                 self._parent = np.append(self._parent, n)
 
-    def _id(self, term: ProbTerm, required: bool = True) -> int | None:
-        terms = self._terms
-        tid = terms.position(term) if isinstance(terms, _Terms) else self._ids.get(term)
-        if tid is None and required:
+    def _id(self, term: ProbTerm) -> int:
+        tid = self._terms.position(term)
+        if tid is None:
             raise UnknownTerm(str(term))
         return tid
 
@@ -617,22 +618,13 @@ class EqualityStore:
         path.reverse()
         return path
 
-    def _replay(self, rules: Sequence[str], lefts: np.ndarray, rights: np.ndarray) -> None:
-        """Union ``lefts[n]`` with ``rights[n]`` under ``rules[n]`` in order, a batch per run of one rule."""
-        start = 0
-        for rule, run in groupby(rules):
-            stop = start + sum(1 for _ in run)
-            self._unite(rule, lefts[start:stop], rights[start:stop])
-            start = stop
-
     @classmethod
     def from_trace(cls, terms, trace) -> "EqualityStore":
-        """Rebuild a store by replaying a recorded merge trace."""
+        """Rebuild a store by replaying a recorded merge trace, a batch per run of one rule."""
         store = cls(terms)
-        records = list(trace)
-        ids = [(store._id(record.left), store._id(record.right)) for record in records]
-        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
-        store._replay([record.rule for record in records], ids[:, 0], ids[:, 1])
+        for rule, run in groupby(trace, key=attrgetter("rule")):
+            pairs = [(store._id(record.left), store._id(record.right)) for record in run]
+            store._unite(rule, *np.array(pairs, dtype=np.int64).T)
         return store
 
 
@@ -751,15 +743,15 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     states are Schmidt-frame permutations and phases (``_frames``), exact for
     every tag, and every distinct expr is visited once.  Every rule unions
     structural term ids, ``row * 2r + side * r + (k - 1)`` over the distinct
-    exprs, directly in a structural store; a repeated expr shares its first
-    occurrence's ids, so its merges could never change the partition.  That
-    store is the result for ``generate_terms``' lazy terms.  A hand-built
-    term set (any other terms) must hold every structural term, else
-    ``UnknownTerm`` names the first one missing; the structural trace, a
-    spanning forest, is then replayed onto a store over its terms, one
-    batch per rule.  Every replayed merge is effective and comes in the
-    same order, and each root stays the earliest-added term in the
-    hand-built order.
+    exprs; a repeated expr shares its first occurrence's ids, so its merges
+    could never change the partition.  The store holds the term set's own
+    terms.  For ``generate_terms``' lazy terms those are the structural ones;
+    a hand-built term set (any other terms) must hold every structural term,
+    else ``UnknownTerm`` names the first one missing, and each structural id
+    is mapped once to the store's id for its term.  Whether a union changes
+    the partition does not depend on the ids, so the trace is the same under
+    any mapping, and each root is the earliest-added term in the term set's
+    order.
 
     * ``PAIRING`` unions ``S:k`` with ``E:col[k]``.  Each row of a frame
       matrix holds one nonzero entry, so every system branch has exactly one
@@ -774,8 +766,16 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     exprs, parents, col, val = _frames(term_set.exprs, term_set.decomposition)
     r = col.shape[1]
     width = 2 * r
-    store = EqualityStore(_Terms(exprs, r))
-    unite = store._unite
+    terms = term_set.terms
+    store = EqualityStore(terms)
+    if isinstance(terms, _Terms) and terms.exprs == term_set.exprs and terms.rank == r:
+        ids = np.arange(len(store._terms))  # the store's terms are the structural ones
+    else:
+        ids = np.array([store._id(term) for term in _Terms(exprs, r)], dtype=np.int64)
+
+    def unite(rule: str, lefts: np.ndarray, rights: np.ndarray) -> None:
+        store._unite(rule, ids[lefts], ids[rights])
+
     first = np.arange(len(exprs))[:, None] * width  # each expr's S:1
     branch = np.arange(r)
     if rules.pairing:
@@ -799,14 +799,7 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
         pairs = np.array(_state_function_pairs(col, val), dtype=int).reshape(-1, 2)
         every = np.arange(width)
         unite("STATE_FUNCTION", pairs[:, 1:] * width + every, pairs[:, :1] * width + every)
-
-    terms = term_set.terms
-    if isinstance(terms, _Terms) and terms.exprs == term_set.exprs and terms.rank == r:
-        return store
-    hand_built = EqualityStore(terms)
-    ids = np.array([hand_built._id(term) for term in store._terms], dtype=np.int64)
-    hand_built._replay(store._rules, ids[store._lefts], ids[store._rights])
-    return hand_built
+    return store
 
 
 def equal_probabilities(

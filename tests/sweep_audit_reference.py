@@ -6,8 +6,9 @@ Draws quadratic, power (alpha in 0.5, 1, 1.5, 2, 3, 4, inf) and custom
 frames in dims 3-16 with 1-540 trials and a random seed, and counts the
 audits whose ``as_dict()`` differs in any bit from ``reference_audit``, which
 evaluates one basis and one vector at a time.  It exits 1 if any audit
-differs.  The default 2,000 audits take a few minutes, so the sweep is not
-part of the test suite; its file name keeps pytest from collecting it.
+differs.  The default 2,000 audits take a few minutes, so the full sweep is
+not part of the test suite; its file name keeps pytest from collecting it,
+and ``test_reference_sweeps.py`` runs a short one.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ KINDS = ("quadratic", "power:0.5", "power:1", "power:1.5", "power:2", "power:3",
          "power:inf", "custom")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--audits", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     counts = {kind: Counter() for kind in KINDS}
     for n in range(args.audits):
         kind = KINDS[n % len(KINDS)]

@@ -9,10 +9,14 @@ repeats, saturates each under the full rule set and under every single-rule
 ablation, and counts the runs whose trace or classes differ from
 ``reference_saturate``.  The equal-branch schedules are long enough for the
 store to hold at least ``_ARRAY_TERMS`` terms, so those runs take the array
-union-find; the ``array_stores`` count says how many did.  It exits 1 if any
-run differs; a state whose Schmidt decomposition fails is counted apart and
-is not a mismatch.  The default 6,000 states take minutes, so the sweep is
-not part of the test suite; its file name keeps pytest from collecting it.
+union-find; the ``array_stores`` count says how many did.  Every 10th state
+is also saturated as a hand-built term set, shuffled, with repeated exprs
+and terms and phase children, and those runs are counted as their own kind,
+``hand-built``.  It exits 1 if any run differs; a state whose Schmidt
+decomposition fails is counted apart and is not a mismatch.  The default
+6,000 states take about seven minutes, so the full sweep is not part of the
+test suite; its file name keeps pytest from collecting it, and
+``test_reference_sweeps.py`` runs a short one.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from collections import Counter
 import numpy as np
 
 from envarkit import EnvarkitError, derivation, generate_terms, saturate, schmidt
+from envarkit import EnvPhase, ProbTerm, SystemPhase, TermSet
 from envarkit.schmidt import DEGENERACY_TOL
 from helpers import spectrum_state
 from test_engine_reference import RULE_SETS, reference_saturate
 
-KINDS = ("rotated", "near-degenerate", "small-lambda", "equal-branch")
+KINDS = ("rotated", "near-degenerate", "small-lambda", "equal-branch", "hand-built")
 EQUAL_BRANCH_EVERY = 20  # one such state costs about as much as 30 of the others
+HAND_BUILT_EVERY = 10  # every other one of these is an equal-branch state
 
 
 def draw_spectrum(rng: np.random.Generator, kind: str) -> list[float]:
@@ -45,11 +51,32 @@ def draw_spectrum(rng: np.random.Generator, kind: str) -> list[float]:
     return [1.0] * split + [10 ** rng.uniform(-11.5, -10.5)] * (rank - split)
 
 
-def main() -> int:
+def hand_built(term_set: TermSet, rng: np.random.Generator) -> TermSet:
+    """``term_set`` as ``test_hand_built_term_sets_match_the_reference`` builds its own.
+
+    Phase children of the first exprs (some restoring their parent's state)
+    and repeats of those exprs are added, the exprs shuffled, every term of
+    each listed, seven terms repeated, and the terms shuffled.
+    """
+    rank = len(term_set.branches)
+    exprs = list(term_set.exprs)
+    for n, beta in enumerate(rng.uniform(-3.0, 3.0, 4)):
+        k = 1 + n % rank
+        parent = exprs[n % len(exprs)]
+        child = parent.then(SystemPhase((k,), (beta,)))
+        exprs += [child, child.then(EnvPhase((k,), (-beta,))), parent]
+    exprs = [exprs[i] for i in rng.permutation(len(exprs))]
+    terms = [ProbTerm(sub, k, expr) for expr in exprs for sub in ("S", "E") for k in term_set.branches]
+    terms += [terms[i] for i in rng.integers(0, len(terms), 7)]
+    terms = tuple(terms[i] for i in rng.permutation(len(terms)))
+    return TermSet(terms, tuple(exprs), term_set.branches, term_set.base_state, term_set.decomposition)
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--states", type=int, default=6000)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     counts = {kind: Counter() for kind in KINDS}
     for n in range(args.states):
         kind = "equal-branch" if n % EQUAL_BRANCH_EVERY == EQUAL_BRANCH_EVERY - 1 else KINDS[n % 3]
@@ -72,14 +99,17 @@ def main() -> int:
         swaps = rng.integers(dec.rank + 2, dec.rank + 6) if kind == "equal-branch" else rng.integers(0, 7)
         picks = rng.integers(0, 10**6, int(swaps))
         swaps = [pairs[p % len(pairs)] for p in picks] if pairs else []
-        term_set = generate_terms(state, swaps, dec)
-        counts[kind]["states"] += 1
-        counts[kind]["array_stores"] += len(term_set.terms) >= derivation._ARRAY_TERMS
-        for rules in RULE_SETS:
-            store, reference = saturate(term_set, rules), reference_saturate(term_set, rules)
-            counts[kind]["runs"] += 1
-            counts[kind]["trace_mismatch"] += store.trace != reference.trace
-            counts[kind]["class_mismatch"] += store.classes() != reference.classes()
+        runs = [(kind, generate_terms(state, swaps, dec))]
+        if n % HAND_BUILT_EVERY == HAND_BUILT_EVERY - 1:
+            runs.append(("hand-built", hand_built(runs[0][1], rng)))
+        for kind, term_set in runs:
+            counts[kind]["states"] += 1
+            counts[kind]["array_stores"] += len(set(term_set.terms)) >= derivation._ARRAY_TERMS
+            for rules in RULE_SETS:
+                store, reference = saturate(term_set, rules), reference_saturate(term_set, rules)
+                counts[kind]["runs"] += 1
+                counts[kind]["trace_mismatch"] += store.trace != reference.trace
+                counts[kind]["class_mismatch"] += store.classes() != reference.classes()
     for kind in KINDS:
         print(kind, dict(sorted(counts[kind].items())))
     mismatches = sum(counts[kind]["trace_mismatch"] + counts[kind]["class_mismatch"] for kind in KINDS)

@@ -52,8 +52,16 @@ class ReferenceStore:
                 self.order[term] = len(self.order)
 
     def find(self, term: ProbTerm) -> ProbTerm:
-        while self.parent[term] is not term:
-            term = self.parent[term]
+        # path halving: each visited term below the root's children is
+        # pointed at its grandparent
+        parent = self.parent
+        up = parent[term]
+        while up is not term:
+            top = parent[up]
+            if top is up:
+                return up
+            parent[term] = top
+            term, up = top, parent[top]
         return term
 
     def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> None:
