@@ -28,8 +28,8 @@ from .derivation import (
     saturate,
 )
 from .envariance import ENVAR_TOL, check_envariance, oracle_best_counter, phase_transform, swap_transform
-from .errors import EnvarkitError, IncompleteDerivation, ParseError
-from .finegrain import RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
+from .errors import EnvarkitError, IncompleteDerivation, NoRationalFit, ParseError
+from .finegrain import MAX_GRAIN, RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
 from .gleason import AUDIT_TOL, PowerOverlapFrame, QuadraticFrame, _check_audit_size, audit
 from .schmidt import DEGENERACY_TOL, is_even, schmidt
 from .states import LocalUnitary, _cells, load_state
@@ -154,6 +154,8 @@ def _cmd_finegrain(args) -> tuple[dict, int]:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weights {args.weights!r}: {exc}") from exc
     weights = RationalWeights.from_fractions(fracs)
+    if weights.denominator > MAX_GRAIN:
+        raise NoRationalFit(f"common denominator {weights.denominator} exceeds bound {MAX_GRAIN}")
     fine = fine_grain(weights, len(weights.numerators))
     probs = born_via_counting(weights)
     _, store, _ = equal_branch_derivation(weights.denominator)

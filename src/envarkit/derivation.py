@@ -241,33 +241,30 @@ def born_value(
 class _Lazy(Sequence):
     """Read-only sequence whose items are built on their first read and kept.
 
-    It compares equal to any sequence with equal items, and ``+`` appends
-    another sequence to it as a tuple.
+    ``_items`` holds every item, ``None`` standing for one not yet built, and
+    supplies the length, negative indexes and ``IndexError``; ``_make(n)``
+    builds item ``n``.  It compares equal to any sequence with equal items,
+    and ``+`` appends another sequence to it as a tuple.
     """
 
-    _built: dict
+    _items: list
 
-    def _make(self, n: int):
-        raise NotImplementedError
+    def __len__(self) -> int:
+        return len(self._items)
 
     def __getitem__(self, n):
         if isinstance(n, slice):
-            return [self[i] for i in range(*n.indices(len(self)))]
-        size = len(self)
-        if not -size <= n < size:
-            raise IndexError(f"index {n} outside a sequence of {size}")
-        n %= size
-        item = self._built.get(n)
+            return [self[i] for i in range(*n.indices(len(self._items)))]
+        item = self._items[n]
         if item is None:
-            item = self._built[n] = self._make(n)
+            n %= len(self._items)
+            item = self._items[n] = self._make(n)
         return item
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
     def __add__(self, other) -> tuple:
         return tuple(self) + tuple(other)
@@ -287,12 +284,9 @@ class _Terms(_Lazy):
     def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0) -> None:
         self.exprs = exprs
         self.rank = rank
-        self._built: dict[int, ProbTerm] = {}
+        self._items: list[ProbTerm | None] = [None] * (2 * rank * len(exprs))
         self._rows: dict[StateExpr, int] | None = None
         self._appended: dict[ProbTerm, int] = {}
-
-    def __len__(self) -> int:
-        return 2 * self.rank * len(self.exprs) + len(self._appended)
 
     def _make(self, n: int) -> ProbTerm:
         r = self.rank
@@ -300,8 +294,8 @@ class _Terms(_Lazy):
 
     def append(self, term: ProbTerm) -> int:
         """Make ``term``, not yet an item, the last item; return its number."""
-        n = self._appended[term] = len(self)
-        self._built[n] = term
+        n = self._appended[term] = len(self._items)
+        self._items.append(term)
         return n
 
     def position(self, term: ProbTerm) -> int | None:
@@ -398,6 +392,31 @@ def _root(parent: list[int], node: int) -> int:
     return root
 
 
+def _union_in_order(parent: list[int], lefts: np.ndarray, rights: np.ndarray) -> list[int]:
+    """Positions of the edges ``(lefts[n], rights[n])`` that a union in order keeps.
+
+    ``parent`` is a union-find parent list whose classes are rooted at their
+    smallest id; it is updated in place, one edge at a time.
+    """
+    kept = []
+    for n, (left, right) in enumerate(zip(lefts.tolist(), rights.tolist())):
+        # most terms sit at most one step below their root
+        ra = parent[left]
+        if parent[ra] != ra:
+            ra = _root(parent, ra)
+        rb = parent[right]
+        if parent[rb] != rb:
+            rb = _root(parent, rb)
+        if ra == rb:
+            continue
+        if rb < ra:
+            parent[ra] = rb
+        else:
+            parent[rb] = ra
+        kept.append(n)
+    return kept
+
+
 def _jump(hook: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Point ``nodes`` straight at their roots in the forest ``hook``, by pointer doubling."""
     while True:
@@ -466,10 +485,7 @@ class _Trace(_Lazy):
 
     def __init__(self, store: "EqualityStore") -> None:
         self._store = store
-        self._built: dict[int, MergeRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self._store._rules)
+        self._items: list[MergeRecord | None] = []
 
     def _make(self, n: int) -> MergeRecord:
         store = self._store
@@ -494,12 +510,15 @@ class EqualityStore:
 
     The union-find takes one of two forms, fixed when the store is built.
     A store of fewer than ``_ARRAY_TERMS`` terms keeps a parent list and
-    unites a batch of pairs one at a time, which costs about a microsecond
-    per pair.  A larger store keeps a flat int64 array mapping each id to
-    its class's smallest id, and unites a whole batch in a few array passes
-    (``_spanning_forest``), which cost tens of microseconds however small
-    the batch.  Both keep the same merges, in the same order, with the same
-    roots.
+    unites a batch of pairs one at a time (``_union_in_order``), which costs
+    about a microsecond per pair.  A larger store keeps a flat int64 array
+    mapping each id to its class's smallest id, and unites a whole batch in
+    a few array passes (``_spanning_forest``), which cost tens of
+    microseconds however small the batch.  Both take a batch, update the
+    partition and return the positions of the pairs they kept: the same
+    merges, in the same order, with the same roots.  ``_unite`` then records
+    those merges in one step for either form: their ids, their rule and an
+    unbuilt slot in the trace.
     """
 
     def __init__(self, terms=()) -> None:
@@ -514,7 +533,7 @@ class EqualityStore:
         self._rules: list[str] = []
         self._lefts = array("q")
         self._rights = array("q")
-        self.trace: Sequence[MergeRecord] = _Trace(self)
+        self.trace = _Trace(self)
 
     def add(self, term: ProbTerm) -> None:
         if self._terms.position(term) is None:
@@ -536,37 +555,16 @@ class EqualityStore:
 
     def _unite(self, rule: str, lefts, rights) -> int:
         """Union ``lefts[n]`` with ``rights[n]`` (flat ids) in order; record the effective ones."""
+        lefts = np.ravel(lefts).astype(np.int64, copy=False)
+        rights = np.ravel(rights).astype(np.int64, copy=False)
         parent = self._parent
-        if not isinstance(parent, list):
-            lefts = np.ravel(lefts).astype(np.int64, copy=False)
-            rights = np.ravel(rights).astype(np.int64, copy=False)
-            kept = _spanning_forest(parent, lefts, rights)
-            self._lefts.frombytes(lefts[kept].tobytes())
-            self._rights.frombytes(rights[kept].tobytes())
-            self._rules.extend([rule] * kept.size)
-            return kept.size
-        merged_left: list[int] = []
-        merged_right: list[int] = []
-        for left, right in zip(np.ravel(lefts).tolist(), np.ravel(rights).tolist()):
-            # most terms sit at most one step below their root
-            ra = parent[left]
-            if parent[ra] != ra:
-                ra = _root(parent, ra)
-            rb = parent[right]
-            if parent[rb] != rb:
-                rb = _root(parent, rb)
-            if ra == rb:
-                continue
-            if rb < ra:
-                parent[ra] = rb
-            else:
-                parent[rb] = ra
-            merged_left.append(left)
-            merged_right.append(right)
-        self._lefts.extend(merged_left)
-        self._rights.extend(merged_right)
-        self._rules.extend([rule] * len(merged_left))
-        return len(merged_left)
+        unite = _union_in_order if isinstance(parent, list) else _spanning_forest
+        kept = unite(parent, lefts, rights)
+        self._lefts.frombytes(lefts[kept].tobytes())
+        self._rights.frombytes(rights[kept].tobytes())
+        self._rules.extend([rule] * len(kept))
+        self.trace._items.extend([None] * len(kept))
+        return len(kept)
 
     def find(self, term: ProbTerm) -> ProbTerm:
         return self._terms[self._root_of(self._id(term))]
@@ -683,8 +681,6 @@ def _frames(
         cols.append(col)
         vals.append(val)
     val = np.array(vals, dtype=complex).reshape(len(rows), r)
-    if not np.isfinite(val).all():
-        raise ParseError("phases must be finite (no NaN/Inf entries)")
     return tuple(rows), parents, np.array(cols, dtype=int).reshape(len(rows), r), val
 
 

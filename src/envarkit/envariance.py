@@ -11,11 +11,12 @@ independent closed-form oracle based on orthogonal-Procrustes alignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis
+from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis, ParseError
 from .schmidt import DEGENERACY_TOL, SCHMIDT_CUTOFF, SchmidtDecomposition, degeneracy_blocks, schmidt
 from .states import (
     _BASIS_TOL,
@@ -69,6 +70,8 @@ def _check_phase(indices: Sequence[int], betas: Sequence[float]) -> None:
         raise DimensionMismatch(f"{len(indices)} indices but {len(betas)} phases")
     if len(set(indices)) != len(indices):
         raise IndexOutOfRange("phase indices must be distinct")
+    if not all(map(isfinite, betas)):
+        raise ParseError("phases must be finite (no NaN/Inf entries)")
 
 
 def phase_transform(

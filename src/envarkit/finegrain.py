@@ -21,6 +21,9 @@ from .derivation import EqualityStore, RuleSet, TermSet, generate_terms, numeric
 from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch
 from .states import BipartiteState, make_state
 
+# Largest grain M: ``rationalize``'s default bound and the ``finegrain`` command's.
+MAX_GRAIN = 1000
+
 
 @dataclass(frozen=True)
 class RationalWeights:
@@ -63,7 +66,7 @@ class FineGrainedState:
     branch_map: tuple[tuple[int, ...], ...]
 
 
-def rationalize(weights, tol: float = 1e-9, max_den: int = 1000) -> RationalWeights:
+def rationalize(weights, tol: float = 1e-9, max_den: int = MAX_GRAIN) -> RationalWeights:
     """Fit floating weights with a common denominator at most ``max_den``.
 
     Each weight is replaced by its best rational approximant of bounded

@@ -40,43 +40,47 @@ _PAIR_TOL = 1e-9
 
 
 class ReferenceStore:
-    """Union-find over terms; the root of a class is its earliest term."""
+    """Union-find over terms; the root of a class is its earliest term.
+
+    Each distinct term is numbered once, in the order it enters (``order``),
+    and the union-find runs on those numbers, so a term is hashed once per
+    lookup rather than at every step of a parent chain.
+    """
 
     def __init__(self, terms) -> None:
-        self.parent: dict[ProbTerm, ProbTerm] = {}
         self.order: dict[ProbTerm, int] = {}
+        self.terms: list[ProbTerm] = []
         self.trace: list[MergeRecord] = []
         for term in terms:
-            if term not in self.parent:
-                self.parent[term] = term
-                self.order[term] = len(self.order)
+            if term not in self.order:
+                self.order[term] = len(self.terms)
+                self.terms.append(term)
+        self.parent = list(range(len(self.terms)))
+
+    def _root(self, n: int) -> int:
+        # path halving: each visited id is pointed at its grandparent
+        parent = self.parent
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
 
     def find(self, term: ProbTerm) -> ProbTerm:
-        # path halving: each visited term below the root's children is
-        # pointed at its grandparent
-        parent = self.parent
-        up = parent[term]
-        while up is not term:
-            top = parent[up]
-            if top is up:
-                return up
-            parent[term] = top
-            term, up = top, parent[top]
-        return term
+        return self.terms[self._root(self.order[term])]
 
     def merge(self, rule: str, left: ProbTerm, right: ProbTerm) -> None:
-        ra, rb = self.find(left), self.find(right)
-        if ra is rb:
+        ra, rb = self._root(self.order[left]), self._root(self.order[right])
+        if ra == rb:
             return
-        if self.order[rb] < self.order[ra]:
+        if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.trace.append(MergeRecord(rule, left, right))
 
     def classes(self) -> list[list[ProbTerm]]:
-        grouped: dict[ProbTerm, list[ProbTerm]] = {}
-        for term in self.order:
-            grouped.setdefault(self.find(term), []).append(term)
+        grouped: dict[int, list[ProbTerm]] = {}
+        for n, term in enumerate(self.terms):
+            grouped.setdefault(self._root(n), []).append(term)
         return list(grouped.values())
 
 

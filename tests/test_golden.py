@@ -2,11 +2,12 @@
 
 Every entry of ``golden/manifest.json`` runs in-process through ``cli.main``
 and must reproduce the recorded exit code, the sha256 of its stdout (and of
-its ``--out`` file), and for exit 2 the class of the error on stderr.  In an
-argv, ``{states}`` names ``golden/states``, written by
-``golden/make_states.py``, and ``{out}`` a scratch report path.  An entry's
-``env`` sets environment variables for its run; ``ENVARKIT_SEED`` is unset
-otherwise.
+its ``--out`` file), and for exit 2 the class of the error on stderr.  Each
+entry runs with warnings turned into errors, and its stderr must be exactly
+one line on exit 2 and empty otherwise.  In an argv, ``{states}`` names
+``golden/states``, written by ``golden/make_states.py``, and ``{out}`` a
+scratch report path.  An entry's ``env`` sets environment variables for its
+run; ``ENVARKIT_SEED`` is unset otherwise.
 
 Run as a script, the module reruns every entry's argv, rewrites the
 recorded results in the manifest, and prints the names of the entries whose
@@ -23,6 +24,7 @@ import io
 import json
 import os
 import subprocess
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -48,7 +50,11 @@ def run_entry(entry: dict, out_path: Path) -> dict:
     env.update(entry.get("env", {}))
     stdout, stderr = io.StringIO(), io.StringIO()
     with patch.dict(os.environ, env, clear=True), redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a stderr line of its own
+            code = main(argv)
+    # an input error is the one line ``Class: message``; anything else writes nothing
+    assert len(stderr.getvalue().splitlines()) == int(code == 2), stderr.getvalue()
     result = {"exit": code, "stdout_sha256": _sha256(stdout.getvalue())}
     if "{out}" in entry["argv"]:
         result["out_sha256"] = _sha256(out_path.read_text(encoding="utf-8"))
