@@ -129,7 +129,7 @@ def _cmd_derive(args) -> tuple[dict, int]:
     state = load_state(args.state)
     dec = schmidt(state)
     rank = dec.rank
-    swaps = _parse_swaps(args.swaps) if args.swaps else [(k, k + 1) for k in range(1, rank)]
+    swaps = _parse_swaps(args.swaps) if args.swaps is not None else [(k, k + 1) for k in range(1, rank)]
     rules = RuleSet()
     for name in args.disable or []:
         rules = rules.without(name)

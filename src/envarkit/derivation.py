@@ -40,12 +40,16 @@ mapping; a hand-built term set gets the same run on a store over its own
 terms, each structural id mapped once to its id there.  A store builds each
 ``ProbTerm`` and ``MergeRecord`` once, when a caller first reads it.
 
-Each rule unites its pairs as one batch.  A store of fewer than
-``_ARRAY_TERMS`` terms runs the batch through a parent list one pair at a
-time; a larger one keeps an array of class roots and finds the pairs the
-loop would keep, the position-ordered minimum spanning forest, in a few
-Boruvka rounds of array passes.  The size decides once, when the store is
-built, and both forms record the same merges in the same order.
+Each term set finds its rule edges once: on its first saturation it works
+out its frames, its id map and every merging rule's pairs of store ids, and
+keeps them, so a ``TermSet``'s terms must not change after that.  Each
+``saturate`` call builds a fresh store and unites each enabled rule's pairs
+as one batch.  A store of fewer than ``_ARRAY_TERMS`` terms runs the batch
+through a parent list one pair at a time; a larger one keeps an array of
+class roots and finds the pairs the loop would keep, the position-ordered
+minimum spanning forest, in a few Boruvka rounds of array passes.  The size
+decides once, when the store is built, and both forms record the same
+merges in the same order.
 
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
@@ -57,6 +61,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 
@@ -331,6 +336,53 @@ class TermSet:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def _edges(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each merging rule's ``(lefts, rights)`` int32 arrays of store ids, found once.
+
+        The states are Schmidt-frame permutations and phases (``_frames``),
+        exact for every tag, and every distinct expr is visited once.  Each
+        rule pairs structural term ids, ``row * 2r + side * r + (k - 1)``
+        over the distinct exprs; a repeated expr shares its first
+        occurrence's ids, so its merges could never change the partition.
+        For ``generate_terms``' lazy terms those are the store's ids; a
+        hand-built term set (any other terms) must hold every structural
+        term, else ``UnknownTerm`` names the first one missing, and each
+        structural id is mapped once to the store's id for its term.
+
+        * ``PAIRING`` pairs ``S:k`` with ``E:col[k]``.  Each row of a frame
+          matrix holds one nonzero entry, so every system branch has exactly
+          one partner and no threshold is needed.
+        * ``ENV_LOCALITY`` (``SYS_LOCALITY``) pairs each environment (system)
+          term of an expr whose last tag acts on the system (environment)
+          with the same term of its parent expr, when the parent is listed.
+        * ``STATE_FUNCTION`` pairs all terms of the expr pairs that
+          ``_state_function_pairs`` finds within ``STATE_EQ_TOL``.  The frame
+          norm equals the dense one, since the Schmidt bases are orthonormal.
+        """
+        exprs, parents, col, val = _frames(self.exprs, self.decomposition)
+        r = col.shape[1]
+        terms = self.terms
+        if isinstance(terms, _Terms) and terms.exprs == self.exprs and terms.rank == r:
+            ids = np.arange(len(exprs) * 2 * r, dtype=np.int32)  # the store's terms are the structural ones
+        else:
+            store = EqualityStore(terms)
+            ids = np.array([store._id(term) for term in _Terms(exprs, r)], dtype=np.int32)
+        ids = ids.reshape(len(exprs), 2, r)  # ids[row, side, k - 1]
+        edges = {"PAIRING": (ids[:, 0], ids[np.arange(len(exprs))[:, None], 1, col])}
+        for rule, side, sub in (
+            ("ENV_LOCALITY", _SYSTEM_SIDE, 1),
+            ("SYS_LOCALITY", _ENV_SIDE, 0),
+        ):
+            children = [
+                n for n, expr in enumerate(exprs)
+                if parents[n] is not None and isinstance(expr.transforms[-1], side)
+            ]
+            edges[rule] = (ids[children, sub], ids[[parents[n] for n in children], sub])
+        pairs = np.array(_state_function_pairs(col, val), dtype=int).reshape(-1, 2)
+        edges["STATE_FUNCTION"] = (ids[pairs[:, 1]], ids[pairs[:, 0]])
+        return {rule: (lefts.ravel(), rights.ravel()) for rule, (lefts, rights) in edges.items()}
 
 
 def generate_terms(
@@ -736,65 +788,20 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
 
     Each rule's applicability depends only on the exprs' states, never on
     the current partition, so a single deterministic sweep saturates.  The
-    states are Schmidt-frame permutations and phases (``_frames``), exact for
-    every tag, and every distinct expr is visited once.  Every rule unions
-    structural term ids, ``row * 2r + side * r + (k - 1)`` over the distinct
-    exprs; a repeated expr shares its first occurrence's ids, so its merges
-    could never change the partition.  The store holds the term set's own
-    terms.  For ``generate_terms``' lazy terms those are the structural ones;
-    a hand-built term set (any other terms) must hold every structural term,
-    else ``UnknownTerm`` names the first one missing, and each structural id
-    is mapped once to the store's id for its term.  Whether a union changes
-    the partition does not depend on the ids, so the trace is the same under
-    any mapping, and each root is the earliest-added term in the term set's
-    order.
-
-    * ``PAIRING`` unions ``S:k`` with ``E:col[k]``.  Each row of a frame
-      matrix holds one nonzero entry, so every system branch has exactly one
-      partner and no threshold is needed.
-    * ``ENV_LOCALITY`` (``SYS_LOCALITY``) unions each environment (system)
-      term of an expr whose last tag acts on the system (environment) with
-      the same term of its parent expr, when the parent is listed.
-    * ``STATE_FUNCTION`` unions all terms of the expr pairs that
-      ``_state_function_pairs`` finds within ``STATE_EQ_TOL``.  The frame
-      norm equals the dense one, since the Schmidt bases are orthonormal.
+    term set finds every merging rule's edges once, on its first
+    saturation, and keeps them (``TermSet._edges``); so its terms must not
+    change after that.  Each call builds a store over the term set's own
+    terms and unites each enabled rule's edges as one batch, in
+    ``RULE_NAMES`` order.  Whether a union changes the partition does not
+    depend on the ids, so the trace is the same under any mapping of
+    structural ids to store ids, and each root is the earliest-added term in
+    the term set's order.  The edges are read even when every rule is off,
+    so a malformed tag or a missing term raises whatever the rule set.
     """
-    exprs, parents, col, val = _frames(term_set.exprs, term_set.decomposition)
-    r = col.shape[1]
-    width = 2 * r
-    terms = term_set.terms
-    store = EqualityStore(terms)
-    if isinstance(terms, _Terms) and terms.exprs == term_set.exprs and terms.rank == r:
-        ids = np.arange(len(store._terms))  # the store's terms are the structural ones
-    else:
-        ids = np.array([store._id(term) for term in _Terms(exprs, r)], dtype=np.int64)
-
-    def unite(rule: str, lefts: np.ndarray, rights: np.ndarray) -> None:
-        store._unite(rule, ids[lefts], ids[rights])
-
-    first = np.arange(len(exprs))[:, None] * width  # each expr's S:1
-    branch = np.arange(r)
-    if rules.pairing:
-        unite("PAIRING", first + branch, first + r + col)
-
-    for rule, enabled, side, offset in (
-        ("ENV_LOCALITY", rules.env_locality, _SYSTEM_SIDE, r),
-        ("SYS_LOCALITY", rules.sys_locality, _ENV_SIDE, 0),
-    ):
-        if not enabled:
-            continue
-        children = [
-            n for n, expr in enumerate(exprs)
-            if parents[n] is not None and isinstance(expr.transforms[-1], side)
-        ]
-        child = np.array(children, dtype=int)[:, None]
-        parent = np.array([parents[n] for n in children], dtype=int)[:, None]
-        unite(rule, child * width + offset + branch, parent * width + offset + branch)
-
-    if rules.state_function:
-        pairs = np.array(_state_function_pairs(col, val), dtype=int).reshape(-1, 2)
-        every = np.arange(width)
-        unite("STATE_FUNCTION", pairs[:, 1:] * width + every, pairs[:, :1] * width + every)
+    store = EqualityStore(term_set.terms)
+    for rule, (lefts, rights) in term_set._edges.items():
+        if getattr(rules, rule.lower()):
+            store._unite(rule, lefts, rights)
     return store
 
 

@@ -178,6 +178,12 @@ class AuditReport:
 
 _AUDIT_CHUNK = 256  # bases per stacked draw, which bounds memory at large trial counts
 
+# Largest dimension and trial count an audit accepts, checked before anything
+# is drawn.  A stack of bases at dim 64 is a 16 MB ``(256, 2, 64, 64)`` draw
+# and a few complex arrays of the same size; 10**6 trials keep 10**6 deviations.
+MAX_AUDIT_DIM = 64
+MAX_AUDIT_TRIALS = 1_000_000
+
 
 def _check_seed(seed: int) -> None:
     # numpy's default_rng rejects it with a bare ValueError
@@ -188,8 +194,12 @@ def _check_seed(seed: int) -> None:
 def _check_audit_size(dim: int, trials: int, seed: int) -> None:
     if dim < 3:
         raise DimensionMismatch("frame-function audit requires dimension greater than two")
+    if dim > MAX_AUDIT_DIM:
+        raise DimensionMismatch(f"frame-function audit dimension {dim} exceeds bound {MAX_AUDIT_DIM}")
     if trials < 1:
         raise ParseError("trials must be at least 1")
+    if trials > MAX_AUDIT_TRIALS:
+        raise ParseError(f"trials {trials} exceed bound {MAX_AUDIT_TRIALS}")
     _check_seed(seed)
 
 
@@ -199,8 +209,10 @@ def audit(
     """Check the basis-sum condition over seeded Haar-random bases.
 
     Dimension 3 is required: the normalization condition only pins down
-    quadratic forms in dimension greater than two.  A NaN deviation is a
-    ``VIOLATION``, reported as ``max_dev`` with the seed of its basis.
+    quadratic forms in dimension greater than two.  ``dim`` and ``trials``
+    may not exceed ``MAX_AUDIT_DIM`` and ``MAX_AUDIT_TRIALS``.  A NaN
+    deviation is a ``VIOLATION``, reported as ``max_dev`` with the seed of
+    its basis.
     Bases are drawn and evaluated in stacks, but trial ``t`` still draws from
     its own ``default_rng(seed + t)``, so ``random_basis(dim, worst_basis_seed)``
     reproduces the worst basis, and a ``CustomFrame`` is called in serial order.

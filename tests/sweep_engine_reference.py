@@ -7,7 +7,9 @@ rank 2-5, and in every 20th state an equal-branch state of rank 13-16 (all
 with ``dim_e`` up to two above the rank), and random swap schedules with
 repeats, saturates each under the full rule set and under every single-rule
 ablation, and counts the runs whose trace or classes differ from
-``reference_saturate``.  The equal-branch schedules are long enough for the
+``reference_saturate``.  Each term set serves all its rule sets in a seeded,
+shuffled order, so a run that depended on the edges an earlier run cached
+would show as a mismatch.  The equal-branch schedules are long enough for the
 store to hold at least ``_ARRAY_TERMS`` terms, so those runs take the array
 union-find; the ``array_stores`` count says how many did.  Every 10th state
 is also saturated as a hand-built term set, shuffled, with repeated exprs
@@ -105,7 +107,7 @@ def main(argv=None) -> int:
         for kind, term_set in runs:
             counts[kind]["states"] += 1
             counts[kind]["array_stores"] += len(set(term_set.terms)) >= derivation._ARRAY_TERMS
-            for rules in RULE_SETS:
+            for rules in [RULE_SETS[i] for i in rng.permutation(len(RULE_SETS))]:
                 store, reference = saturate(term_set, rules), reference_saturate(term_set, rules)
                 counts[kind]["runs"] += 1
                 counts[kind]["trace_mismatch"] += store.trace != reference.trace
