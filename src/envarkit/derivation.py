@@ -34,11 +34,14 @@ entry, and ``val[k]``, its value.  Swaps permute them and phases multiply
 
 The engine runs on structural ids, ``row * 2r + side * r + (k - 1)`` for
 branch k on side S (0) or E (1) of the row-th distinct expr, and the
-union-find and its trace hold only those ints.  ``generate_terms`` returns
-its terms as a lazy sequence in that order, so its term sets need no
+union-find and its merge record hold only those ints.  ``generate_terms``
+returns its terms as a lazy sequence in that order, so its term sets need no
 mapping; a hand-built term set gets the same run on a store over its own
 terms, each structural id mapped once to its id there.  A store builds each
-``ProbTerm`` and ``MergeRecord`` once, when a caller first reads it.
+``ProbTerm`` and ``MergeRecord`` once, when a caller first reads it.  Its
+trace holds its term sequence and merge record, not the store, so no
+reference cycle keeps a dropped store alive, and a trace kept after its
+store still reads.
 
 Each term set finds its rule edges once: on its first saturation it works
 out its frames, its id map and every merging rule's pairs of store ids, and
@@ -74,7 +77,7 @@ from .errors import (
     UnevenCoefficients,
     UnknownTerm,
 )
-from .schmidt import DEGENERACY_TOL, SchmidtDecomposition, schmidt
+from .schmidt import SchmidtDecomposition, degeneracy_blocks, schmidt
 from .states import BipartiteState, apply_env, apply_system
 
 STATE_EQ_TOL = 1e-9
@@ -397,12 +400,19 @@ def generate_terms(
     counterswap; terms cover both subsystems and every branch at each stop,
     in structural order (``S`` then ``E``, branches ascending, per expr).
     Swapped branches must carry equal coefficients, otherwise swapping has
-    no claim to preserve the probability bookkeeping.  The terms are a lazy
+    no claim to preserve the probability bookkeeping.  Equal means in one
+    ``degeneracy_blocks`` block, the test ``check_envariance`` applies; a
+    swap across blocks raises ``UnevenCoefficients``, even when its two
+    coefficients differ by less than ``DEGENERACY_TOL``, since such gaps can
+    chain past the tolerance.  So every swap ``check_envariance`` accepts is
+    accepted here, but not the reverse: a same-block swap whose restored
+    state lies farther than ``tol`` from the base state is accepted, and
+    ``STATE_FUNCTION`` derives nothing from it.  The terms are a lazy
     sequence: each ``ProbTerm`` is built on its first read.
     """
     dec = decomposition if decomposition is not None else schmidt(state)
-    lam = dec.coefficients
     r = dec.rank
+    block_of = {k: block for block in degeneracy_blocks(dec) for k in block}
     exprs: list[StateExpr] = [StateExpr()]
     for swap in swaps:
         try:
@@ -411,10 +421,10 @@ def generate_terms(
             raise ParseError(f"swap {swap!r} is not a pair of branch indices") from exc
         _check_swap(i, j)
         _check_indices((i, j), r)
-        gap = abs(float(lam[i - 1] - lam[j - 1]))
-        if gap > DEGENERACY_TOL:
+        if block_of[i] != block_of[j]:
             raise UnevenCoefficients(
-                f"branches {i} and {j} have coefficients differing by {gap:.3g}"
+                f"branches {i} and {j} lie in different equal-coefficient blocks"
+                f" {block_of[i]} and {block_of[j]}"
             )
         swapped = StateExpr().then(SystemSwap(i, j))
         exprs.append(swapped)
@@ -533,16 +543,19 @@ def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) ->
 
 
 class _Trace(_Lazy):
-    """A store's effective merges as ``MergeRecord``s, in the order made."""
+    """A store's effective merges as ``MergeRecord``s, in the order made.
 
-    def __init__(self, store: "EqualityStore") -> None:
-        self._store = store
+    Built from the store's term sequence and merge record, never the store
+    itself (see ``EqualityStore``).
+    """
+
+    def __init__(self, terms: _Terms, rules: list[str], lefts: array, rights: array) -> None:
+        self._terms, self._rules, self._lefts, self._rights = terms, rules, lefts, rights
         self._items: list[MergeRecord | None] = []
 
     def _make(self, n: int) -> MergeRecord:
-        store = self._store
-        left, right = store._terms[store._lefts[n]], store._terms[store._rights[n]]
-        return MergeRecord(store._rules[n], left, right)
+        left, right = self._terms[self._lefts[n]], self._terms[self._rights[n]]
+        return MergeRecord(self._rules[n], left, right)
 
 
 class EqualityStore:
@@ -556,9 +569,13 @@ class EqualityStore:
     terms over the distinct exprs of ``generate_terms``' lazy terms if it is
     built from them, then any other terms it is built from and those ``add``
     brings in.  A structural term is looked up by position without being
-    built, any other by a dict.  The union-find and the trace hold ids only:
-    ``trace``, ``classes()``, ``find()`` and ``minimal_trace()`` build each
-    ``ProbTerm`` and ``MergeRecord`` they return once, on first read.
+    built, any other by a dict.  The union-find and the merge record (each
+    merge's rule and its two ids) hold ids only: ``trace``, ``classes()``,
+    ``find()`` and ``minimal_trace()`` build each ``ProbTerm`` and
+    ``MergeRecord`` they return once, on first read.  ``trace`` holds the
+    term sequence and the merge record, never the store: the store is
+    freed as soon as its last reference goes, and a trace kept after it
+    still reads.
 
     The union-find takes one of two forms, fixed when the store is built.
     A store of fewer than ``_ARRAY_TERMS`` terms keeps a parent list and
@@ -570,7 +587,8 @@ class EqualityStore:
     partition and return the positions of the pairs they kept: the same
     merges, in the same order, with the same roots.  ``_unite`` then records
     those merges in one step for either form: their ids, their rule and an
-    unbuilt slot in the trace.
+    unbuilt slot in the trace.  ``_root_of`` reads one root for either form,
+    and ``find()``, ``same_class()`` and ``classes()`` all go through it.
     """
 
     def __init__(self, terms=()) -> None:
@@ -585,7 +603,7 @@ class EqualityStore:
         self._rules: list[str] = []
         self._lefts = array("q")
         self._rights = array("q")
-        self.trace = _Trace(self)
+        self.trace = _Trace(self._terms, self._rules, self._lefts, self._rights)
 
     def add(self, term: ProbTerm) -> None:
         if self._terms.position(term) is None:
@@ -629,14 +647,9 @@ class EqualityStore:
         return self._root_of(self._id(left)) == self._root_of(self._id(right))
 
     def classes(self) -> list[list[ProbTerm]]:
-        parent = self._parent
-        if isinstance(parent, list):
-            roots = [_root(parent, node) for node in range(len(parent))]
-        else:
-            roots = parent.tolist()
         grouped: dict[int, list[ProbTerm]] = {}
-        for node, root in enumerate(roots):
-            grouped.setdefault(root, []).append(self._terms[node])
+        for node in range(len(self._terms)):
+            grouped.setdefault(self._root_of(node), []).append(self._terms[node])
         return list(grouped.values())
 
     def minimal_trace(self, left: ProbTerm, right: ProbTerm) -> list[MergeRecord]:

@@ -129,6 +129,14 @@ def check_envariance(
     reports the oracle's residual, which can fall below ``tol``.
     ``decomposition``, when given, must be ``schmidt(state)``; it saves
     computing the Schmidt form again.
+
+    A swap of two branches in different blocks is never envariant, and
+    ``generate_terms`` refuses it with ``UnevenCoefficients``, even when
+    the two coefficients differ by less than ``DEGENERACY_TOL``.  A swap
+    inside one block is envariant when the restored residual is within
+    ``tol``; ``generate_terms`` accepts it either way, and the engine
+    derives nothing from one whose restored state lies past its own
+    ``STATE_EQ_TOL``.
     """
     if u_s.dim != state.dim_s:
         raise DimensionMismatch(f"unitary dim {u_s.dim} != system dim {state.dim_s}")

@@ -66,6 +66,10 @@ def corpus() -> dict[str, str]:
         # SCHMIDT_CUTOFF = 1e-12; see ROADMAP item 2
         "near-cutoff-a": rotated([1.0, 0.7, 3e-9], 4, seed=51),
         "near-cutoff-b": rotated([1.0, 0.7, 2e-6], 4, seed=61),
+        # lambda_k proportional to 1 - 0.9e-9 k: adjacent coefficients lie
+        # 3.2e-10 apart, within DEGENERACY_TOL, but the gaps chain past it, so
+        # the degeneracy blocks are [1-4] and [5-8]
+        "staircase8": diagonal(1 - 0.9e-9 * np.arange(8)),
     }
     texts = {name: state_text(amps) for name, amps in states.items()}
     texts["malformed"] = '{"dim_s": 2, "dim_e": 2, "amps": [[[1, 0]\n'

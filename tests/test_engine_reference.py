@@ -142,8 +142,8 @@ def test_equal_branch_states(m):
 
 def test_tolerance_chain_that_is_not_transitive():
     # both restored states are within STATE_EQ_TOL of psi but not of each other
-    d = 0.6 * DEGENERACY_TOL
-    lams = [3**-0.5 + d, 3**-0.5, 3**-0.5 - d]
+    # one degeneracy block: the top and bottom coefficients lie 0.95 * DEGENERACY_TOL apart
+    lams = [3**-0.5 + 0.5 * DEGENERACY_TOL, 3**-0.5, 3**-0.5 - 0.45 * DEGENERACY_TOL]
     state = spectrum_state(lams, seed_s=1, seed_e=2)
     term_set = generate_terms(state, [(1, 2), (2, 3)])
     psi, _, restored_12, _, restored_23 = (
