@@ -282,7 +282,7 @@ class _Lazy(Sequence):
 
 
 class _Terms(_Lazy):
-    """Every term ``p(X:k; expr)`` over some exprs, in structural order, then appended terms.
+    """Every term ``p(X:k; expr)`` over distinct exprs, in structural order, then appended terms.
 
     Item ``row * 2r + side * r + (k - 1)`` is branch ``k`` on side ``"SE"[side]``
     of ``exprs[row]``; this is the order ``generate_terms`` emits and the id
@@ -307,11 +307,9 @@ class _Terms(_Lazy):
         return n
 
     def position(self, term: ProbTerm) -> int | None:
-        """Item number of ``term`` (its first, if exprs repeat), or ``None``."""
+        """Item number of ``term``, or ``None``."""
         if self._rows is None:
-            self._rows = {}
-            for row, expr in enumerate(self.exprs):
-                self._rows.setdefault(expr, row)
+            self._rows = {expr: row for row, expr in enumerate(self.exprs)}
         row = self._rows.get(term.state)
         branches = range(1, self.rank + 1)
         if row is None or term.index not in branches:
@@ -347,8 +345,9 @@ class TermSet:
         The states are Schmidt-frame permutations and phases (``_frames``),
         exact for every tag, and every distinct expr is visited once.  Each
         rule pairs structural term ids, ``row * 2r + side * r + (k - 1)``
-        over the distinct exprs; a repeated expr shares its first
-        occurrence's ids, so its merges could never change the partition.
+        over the distinct exprs.  ``generate_terms`` lists each expr once; in
+        a hand-built set a repeated expr shares its first occurrence's ids,
+        so its merges could never change the partition.
         For ``generate_terms``' lazy terms those are the store's ids; a
         hand-built term set (any other terms) must hold every structural
         term, else ``UnknownTerm`` names the first one missing, and each
@@ -397,8 +396,10 @@ def generate_terms(
 
     For each swap pair ``(i, j)`` the transcript visits the base state, the
     state after the system swap, and the state after the environment
-    counterswap; terms cover both subsystems and every branch at each stop,
-    in structural order (``S`` then ``E``, branches ascending, per expr).
+    counterswap.  Each distinct stop is listed once, in first-visit order,
+    so a repeated swap adds no expr and no terms; terms cover both
+    subsystems and every branch at each stop, in structural order (``S``
+    then ``E``, branches ascending, per expr).
     Swapped branches must carry equal coefficients, otherwise swapping has
     no claim to preserve the probability bookkeeping.  Equal means in one
     ``degeneracy_blocks`` block, the test ``check_envariance`` applies; a
@@ -413,7 +414,7 @@ def generate_terms(
     dec = decomposition if decomposition is not None else schmidt(state)
     r = dec.rank
     block_of = {k: block for block in degeneracy_blocks(dec) for k in block}
-    exprs: list[StateExpr] = [StateExpr()]
+    exprs: dict[StateExpr, None] = {StateExpr(): None}  # each distinct stop once, in first-visit order
     for swap in swaps:
         try:
             i, j = swap
@@ -427,8 +428,8 @@ def generate_terms(
                 f" {block_of[i]} and {block_of[j]}"
             )
         swapped = StateExpr().then(SystemSwap(i, j))
-        exprs.append(swapped)
-        exprs.append(swapped.then(EnvSwap(i, j)))
+        exprs[swapped] = None
+        exprs[swapped.then(EnvSwap(i, j))] = None
     exprs = tuple(exprs)
     return TermSet(_Terms(exprs, r), exprs, tuple(range(1, r + 1)), state, dec)
 
@@ -566,8 +567,8 @@ class EqualityStore:
     graph is a forest (paths between terms are unique).  Terms are ids in
     insertion order and every class is rooted at its smallest id, the term
     added earliest.  The store keeps one lazy term sequence: the structural
-    terms over the distinct exprs of ``generate_terms``' lazy terms if it is
-    built from them, then any other terms it is built from and those ``add``
+    terms over the exprs of ``generate_terms``' lazy terms if it is built
+    from them, then any other terms it is built from and those ``add``
     brings in.  A structural term is looked up by position without being
     built, any other by a dict.  The union-find and the merge record (each
     merge's rule and its two ids) hold ids only: ``trace``, ``classes()``,
@@ -593,7 +594,7 @@ class EqualityStore:
 
     def __init__(self, terms=()) -> None:
         if isinstance(terms, _Terms):
-            self._terms = _Terms(tuple(dict.fromkeys(terms.exprs)), terms.rank)
+            self._terms = _Terms(terms.exprs, terms.rank)
         else:
             self._terms = _Terms()
             for term in dict.fromkeys(terms):
@@ -770,12 +771,9 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
     order = np.argsort(sigma, kind="stable")
     ranked = sigma[order]
     bound = STATE_EQ_TOL + 4 * size * np.finfo(float).eps
-    # ranks n < m are candidates when m < reach[n], i.e. when n >= low[m]
-    reach = np.searchsorted(ranked, ranked + bound, side="right")
-    low = np.searchsorted(reach, np.arange(count), side="right")
-    rank = np.empty(count, dtype=int)
-    rank[order] = np.arange(count)
-    start, stop = low[rank], reach[rank]  # each expr's window of ranks, itself included
+    # each expr's window of ranks, itself included
+    start = np.searchsorted(ranked, sigma - bound, side="left")
+    stop = np.searchsorted(ranked, sigma + bound, side="right")
     link = np.arange(count)  # a label per expr, shared by linked exprs
     pairs = []
     for i in np.flatnonzero(stop - start > 1).tolist():

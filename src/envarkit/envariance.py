@@ -146,10 +146,8 @@ def check_envariance(
     a = svecs.conj().T @ u_s.mat @ svecs
     support_leak = float(np.linalg.norm(u_s.mat @ svecs - svecs @ a))
     blocks = degeneracy_blocks(dec, DEGENERACY_TOL)
-    block_mask = np.zeros((r, r), dtype=bool)
-    for block in blocks:
-        idx = np.asarray(block) - 1
-        block_mask[np.ix_(idx, idx)] = True
+    label = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])  # each branch's block
+    block_mask = label[:, None] == label
     off_block = float(np.max(np.abs(a[~block_mask]))) if not block_mask.all() else 0.0
 
     if support_leak > tol or off_block > tol:
@@ -190,17 +188,14 @@ def oracle_best_counter(
     x, sig, yh = np.linalg.svd(target)
     r = int(np.sum(sig > SCHMIDT_CUTOFF))
     n = state.dim_e
-    if r == n:
-        v = x @ yh
-    else:
+    v = x @ yh
+    if r < n:
         xr = x[:, :r]
         yr = yh[:r, :].conj().T
         p_out = xr @ xr.conj().T
         p_in = yr @ yr.conj().T
         if np.max(np.abs(p_out - p_in)) <= 1e-8:
             v = _polar_unitary(xr @ yr.conj().T + np.eye(n) - p_out)
-        else:
-            v = x @ yh
     counter = LocalUnitary(v)
     aligned = apply_env(counter, apply_system(u_s, state))
     residual = float(np.linalg.norm(aligned.amps - state.amps))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -21,8 +22,26 @@ from .derivation import EqualityStore, RuleSet, TermSet, generate_terms, numeric
 from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch
 from .states import BipartiteState, make_state
 
-# Largest grain M: ``rationalize``'s default bound and the ``finegrain`` command's.
+# Largest grain M: ``rationalize``'s default bound, the ``finegrain`` command's,
+# and the largest ``equal_branch_derivation`` builds (its store holds 4M^2 - 2M terms).
 MAX_GRAIN = 1000
+
+# Error messages name an int of more bits than this by its bit length: printing
+# one of more than 4,300 digits raises ``ValueError``, and a long one floods stderr.
+_SHOWN_BITS = 256
+
+
+def _too_long(value) -> bool:
+    return isinstance(value, int) and value.bit_length() > _SHOWN_BITS
+
+
+def _shown(value) -> str:
+    """``str(value)``, with each int of more than ``_SHOWN_BITS`` bits named by its bit length."""
+    if isinstance(value, (tuple, list)) and any(map(_too_long, value)):
+        return "(" + ", ".join(map(_shown, value)) + ")"
+    if _too_long(value):
+        return f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -35,10 +54,10 @@ class RationalWeights:
     def __post_init__(self) -> None:
         ms = tuple(int(m) for m in self.numerators)
         if not ms or any(m <= 0 for m in ms):
-            raise WeightMismatch(f"numerators must be positive integers, got {self.numerators}")
+            raise WeightMismatch(f"numerators must be positive integers, got {_shown(self.numerators)}")
         if sum(ms) != int(self.denominator):
             raise WeightMismatch(
-                f"numerators sum to {sum(ms)} but denominator is {self.denominator}"
+                f"numerators sum to {_shown(sum(ms))} but denominator is {_shown(self.denominator)}"
             )
         object.__setattr__(self, "numerators", ms)
         object.__setattr__(self, "denominator", int(self.denominator))
@@ -132,7 +151,7 @@ class _Shares(tuple):
         return self
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def equal_branch_derivation(
     m_total: int,
 ) -> tuple[TermSet, EqualityStore, tuple[Fraction, ...]]:
@@ -145,7 +164,19 @@ def equal_branch_derivation(
     on M; the cache holds the 64 most recent grains, enough for every grain
     of the M <= 32 acceptance sweep to stay resident.  The shares also carry
     the prefix sums of their integer numerators over M, which counting reads.
+    Before building anything it refuses a grain that is not an integer (as
+    ``operator.index`` reads one) or is below 1 with ``WeightMismatch``, and
+    one above ``MAX_GRAIN`` with ``NoRationalFit``.  The cache keys on the
+    argument's type too, so ``6.0`` is refused even once ``6`` is cached.
     """
+    try:
+        m_total = index(m_total)
+    except TypeError:
+        raise WeightMismatch(f"the grain must be an integer, got {type(m_total).__name__}") from None
+    if m_total < 1:
+        raise WeightMismatch(f"the grain must be at least 1, got {_shown(m_total)}")
+    if m_total > MAX_GRAIN:
+        raise NoRationalFit(f"grain {_shown(m_total)} exceeds bound {MAX_GRAIN}")
     state = make_state(np.eye(m_total, dtype=complex) / np.sqrt(m_total))
     swaps = tuple((k, k + 1) for k in range(1, m_total))
     term_set = generate_terms(state, swaps)

@@ -96,9 +96,13 @@ def reconstruct(decomposition: SchmidtDecomposition) -> BipartiteState:
 
 
 def is_even(decomposition: SchmidtDecomposition, tol: float = DEGENERACY_TOL) -> bool:
-    """True when all Schmidt coefficients agree within ``tol``."""
-    lam = decomposition.coefficients
-    return bool(lam[0] - lam[-1] <= tol)
+    """True when the Schmidt coefficients form one ``degeneracy_blocks`` block.
+
+    That is, when every coefficient lies within ``tol`` of the largest.  A
+    rank-1 spectrum is one block, so it counts as even for any ``tol``, a
+    negative or NaN one included.
+    """
+    return len(degeneracy_blocks(decomposition, tol)) == 1
 
 
 def degeneracy_blocks(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from envarkit import BipartiteState, LocalUnitary, make_state, random_basis
+from envarkit import BipartiteState, LocalUnitary, SchmidtDecomposition, degeneracy_blocks
+from envarkit import make_state, random_basis
 
 
 def random_state(dim_s: int, dim_e: int, seed: int) -> BipartiteState:
@@ -34,3 +35,12 @@ def spectrum_state(lams, seed_s: int, seed_e: int, dim_e: int | None = None) -> 
     svecs = random_basis(dim_s, seed_s).vectors
     evecs = random_basis(dim_e, seed_e).vectors[:, :dim_s]
     return make_state((svecs * lams) @ evecs.T, normalize=True)
+
+
+def block_swap_pairs(dec: SchmidtDecomposition) -> list[tuple[int, int]]:
+    """Ordered branch pairs ``(i, j)``, ``i != j``, inside one ``degeneracy_blocks`` block.
+
+    These are the swaps ``generate_terms`` accepts, in ``(i, j)`` order.
+    """
+    block_of = {k: n for n, block in enumerate(degeneracy_blocks(dec)) for k in block}
+    return [(i, j) for i in block_of for j in block_of if i != j and block_of[i] == block_of[j]]

@@ -32,7 +32,7 @@ import numpy as np
 from envarkit import EnvarkitError, derivation, generate_terms, saturate, schmidt
 from envarkit import EnvPhase, ProbTerm, SystemPhase, TermSet
 from envarkit.schmidt import DEGENERACY_TOL
-from helpers import spectrum_state
+from helpers import block_swap_pairs, spectrum_state
 from test_engine_reference import RULE_SETS, reference_saturate
 
 KINDS = ("rotated", "near-degenerate", "small-lambda", "equal-branch", "hand-built")
@@ -91,13 +91,7 @@ def main(argv=None) -> int:
         except EnvarkitError:
             counts[kind]["schmidt_failed"] += 1
             continue
-        lam = dec.coefficients
-        pairs = [
-            (i, j)
-            for i in range(1, dec.rank + 1)
-            for j in range(1, dec.rank + 1)
-            if i != j and abs(float(lam[i - 1] - lam[j - 1])) <= DEGENERACY_TOL
-        ]
+        pairs = block_swap_pairs(dec)
         swaps = rng.integers(dec.rank + 2, dec.rank + 6) if kind == "equal-branch" else rng.integers(0, 7)
         picks = rng.integers(0, 10**6, int(swaps))
         swaps = [pairs[p % len(pairs)] for p in picks] if pairs else []

@@ -62,6 +62,14 @@ class TestGenerateTerms:
         assert len(term_set.exprs) == 5
         assert len(term_set) == 30
 
+    def test_a_repeated_swap_lists_each_expr_once(self):
+        term_set = generate_terms(bell_state(), [(1, 2), (1, 2)])
+        assert term_set.exprs == generate_terms(bell_state(), [(1, 2)]).exprs
+        assert len(term_set.exprs) == 3 and len(term_set) == 12
+        term_set = generate_terms(even_state(3), [(1, 2), (2, 3), (1, 2), (2, 3)])
+        assert term_set.exprs == generate_terms(even_state(3), [(1, 2), (2, 3)]).exprs
+        assert len(set(term_set.terms)) == len(term_set) == 30
+
     def test_uneven_pair_rejected(self):
         with pytest.raises(UnevenCoefficients):
             generate_terms(uneven_state(), [(1, 2)])

@@ -30,7 +30,7 @@ from envarkit.derivation import (
     MergeRecord,
 )
 from envarkit.schmidt import DEGENERACY_TOL
-from helpers import spectrum_state
+from helpers import block_swap_pairs, spectrum_state
 
 RULE_SETS = [RuleSet()] + [RuleSet().without(name) for name in RULE_NAMES]
 NO_MERGING = RuleSet(pairing=False, env_locality=False, sys_locality=False, state_function=False)
@@ -204,13 +204,7 @@ def test_drawn_states_under_every_single_ablation(lams, extra_env, seed, picks):
         dec = schmidt(state)
     except ValueError:
         assume(False)
-    lam = dec.coefficients
-    pairs = [
-        (i, j)
-        for i in range(1, dec.rank + 1)
-        for j in range(1, dec.rank + 1)
-        if i != j and abs(float(lam[i - 1] - lam[j - 1])) <= DEGENERACY_TOL
-    ]
+    pairs = block_swap_pairs(dec)
     swaps = [pairs[p % len(pairs)] for p in picks] if pairs else []
     term_set = generate_terms(state, swaps)
     for rules in RULE_SETS:
@@ -395,13 +389,7 @@ def test_frame_states_match_dense_replay(lams, extra_env, seed, picks, betas):
         dec = schmidt(state)
     except ValueError:
         assume(False)
-    lam = dec.coefficients
-    pairs = [
-        (i, j)
-        for i in range(1, dec.rank + 1)
-        for j in range(1, dec.rank + 1)
-        if i != j and abs(float(lam[i - 1] - lam[j - 1])) <= DEGENERACY_TOL
-    ]
+    pairs = block_swap_pairs(dec)
     swaps = [pairs[p % len(pairs)] for p in picks] if pairs else []
     exprs = list(generate_terms(state, swaps, dec).exprs)
     # phase children and grandchildren of listed exprs, and exprs whose

@@ -11,14 +11,19 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from envarkit import (
     DEGENERACY_TOL,
+    ENVAR_TOL,
+    ProbTerm,
+    RuleSet,
+    StateExpr,
     UnevenCoefficients,
     check_envariance,
     degeneracy_blocks,
@@ -26,6 +31,7 @@ from envarkit import (
     is_even,
     load_state,
     make_state,
+    saturate,
     save_state,
     schmidt,
     swap_transform,
@@ -67,6 +73,22 @@ def test_every_swap_envariance_accepts_generate_terms_accepts(state):
                 assert not verdict.envariant
                 with pytest.raises(UnevenCoefficients):
                     generate_terms(state, [(i, j)], dec)
+
+
+@given(straddling_states())
+@example(STAIRCASE)
+@settings(max_examples=60, deadline=None)
+def test_one_swap_joins_its_branches_exactly_when_envariance_accepts_it(state):
+    # inside one block the engine's STATE_FUNCTION test and the envariance
+    # residual test decide the same swap, each against its own 1e-9
+    dec = schmidt(state)
+    for block in degeneracy_blocks(dec):
+        for i, j in combinations(block, 2):
+            verdict = check_envariance(state, swap_transform(i, j, dec.system_vectors), decomposition=dec)
+            assume(abs(verdict.residual - ENVAR_TOL) > 1e-12)  # the two tests may round apart there
+            store = saturate(generate_terms(state, [(i, j)], dec), RuleSet())
+            joined = store.same_class(ProbTerm("S", i, StateExpr()), ProbTerm("S", j, StateExpr()))
+            assert joined == verdict.envariant, (i, j, verdict.residual)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from envarkit import (
     rationalize,
     schmidt,
 )
-from envarkit.finegrain import _Shares
+from envarkit.finegrain import MAX_GRAIN, _Shares
 
 
 class TestRationalize:
@@ -64,6 +64,28 @@ class TestRationalWeights:
     def test_positive_numerators(self):
         with pytest.raises(WeightMismatch):
             RationalWeights((0, 3), 3)
+
+    def test_messages_for_ordinary_integers(self):
+        with pytest.raises(WeightMismatch, match=re.escape("numerators sum to 2 but denominator is 3")):
+            RationalWeights((1, 1), 3)
+        with pytest.raises(WeightMismatch, match=re.escape("positive integers, got (0, 3)")):
+            RationalWeights((0, 3), 3)
+        with pytest.raises(WeightMismatch, match=re.escape("positive integers, got [1, -1]")):
+            RationalWeights([1, -1], 0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RationalWeights((10**5000,), 1),
+            lambda: RationalWeights((-(10**5000), 1), 1),
+            lambda: RationalWeights.from_fractions([Fraction(1, 10**5000), 1]),
+        ],
+    )
+    def test_huge_integers_get_a_short_message(self, make):
+        # printing an int of more than 4,300 digits raises ValueError
+        with pytest.raises(WeightMismatch, match="16610-bit integer") as info:
+            make()
+        assert len(str(info.value)) < 120
 
     def test_from_fractions(self):
         w = RationalWeights.from_fractions([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
@@ -166,6 +188,36 @@ def test_cold_derivation_at_grain_96_peaks_below_16_mb():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize(
+    "grain,error",
+    [
+        (-1, WeightMismatch),
+        (0, WeightMismatch),
+        (1.5, WeightMismatch),
+        (6.0, WeightMismatch),
+        ("6", WeightMismatch),
+        (None, WeightMismatch),
+        (MAX_GRAIN + 1, NoRationalFit),
+        pytest.param(10**5000, NoRationalFit, id="5001-digits"),
+    ],
+)
+def test_equal_branch_derivation_refuses_a_grain_before_building_a_state(monkeypatch, grain, error):
+    equal_branch_derivation(6)  # cached, yet 6.0 must still be refused
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equal_branch_derivation built a state")
+
+    monkeypatch.setattr("envarkit.finegrain.make_state", refuse)
+    with pytest.raises(error) as info:
+        equal_branch_derivation(grain)
+    assert len(str(info.value)) < 120
+
+
+def test_equal_branch_derivation_takes_any_integer_type():
+    _, _, shares = equal_branch_derivation(np.int64(3))
+    assert shares == equal_branch_derivation(3)[2] == (Fraction(1, 3),) * 3
 
 
 def test_shares_that_are_not_multiples_of_one_over_the_grain_are_refused():

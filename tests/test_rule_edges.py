@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from envarkit import (
     IndexOutOfRange,
@@ -29,7 +31,7 @@ from envarkit import (
     saturate,
 )
 from envarkit.cli import main
-from envarkit.derivation import RULE_NAMES
+from envarkit.derivation import RULE_NAMES, STATE_EQ_TOL, _state_function_pairs
 from helpers import spectrum_state
 from test_cli import count_calls
 from test_engine_reference import NO_MERGING, RULE_SETS
@@ -130,3 +132,60 @@ def test_every_rule_off_still_rejects_a_malformed_tag():
     for _ in range(2):
         with pytest.raises(IndexOutOfRange):
             saturate(term_set, EVERY_RULE_OFF)
+
+
+@st.composite
+def frame_sets(draw):
+    """``(col, val)`` frames of a rank-r spectrum, with near-duplicates of drawn frames.
+
+    A near-duplicate moves one entry of a drawn frame by 0.3-2 times
+    ``STATE_EQ_TOL`` (or by nothing), scales the frame by 1 +- 1e-6, or
+    conjugates it, which keeps its projection; the frames come out shuffled.
+    """
+    r = draw(st.integers(1, 5))
+    lam = np.sort(draw(st.lists(st.floats(0.1, 1.0), min_size=r, max_size=r)))[::-1]
+    lam /= np.linalg.norm(lam)
+    cols, vals = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        cols.append(np.array(draw(st.permutations(range(r)))))
+        phases = draw(st.lists(st.sampled_from([0.0, np.pi]) | st.floats(-3.0, 3.0), min_size=r, max_size=r))
+        vals.append(lam[draw(st.permutations(range(r)))] * np.exp(1j * np.array(phases)))
+    for _ in range(draw(st.integers(0, 12))):
+        source = draw(st.integers(0, len(cols) - 1))
+        val = vals[source].copy()
+        kind = draw(st.sampled_from(["move", "scale", "conjugate"]))
+        if kind == "move":
+            size = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.1, 2.0]) | st.floats(0.3, 2.0))
+            val[draw(st.integers(0, r - 1))] += size * STATE_EQ_TOL * np.exp(1j * draw(st.floats(-3.0, 3.0)))
+        elif kind == "scale":
+            val *= 1 + draw(st.sampled_from([-1e-6, 1e-6]))
+        else:
+            val = val.conj()
+        cols.append(cols[source])
+        vals.append(val)
+    order = draw(st.permutations(range(len(cols))))
+    return np.array(cols)[order], np.array(vals)[order]
+
+
+def frame_norm(col: np.ndarray, val: np.ndarray, i: int, j: int) -> float:
+    """``||m_i - m_j||`` of the dense r x r frame matrices."""
+    r = col.shape[1]
+    dense = np.zeros((2, r, r), dtype=complex)
+    dense[0, np.arange(r), col[i]] = val[i]
+    dense[1, np.arange(r), col[j]] = val[j]
+    return float(np.linalg.norm(dense[0] - dense[1]))
+
+
+@given(frame_sets())
+@settings(max_examples=200, deadline=None)
+def test_state_function_pairs_match_a_brute_force_over_every_pair(frames):
+    col, val = frames
+    link = list(range(len(col)))  # a label per expr, shared by linked exprs
+    expected = []
+    for i, j in ((i, j) for i in range(len(col)) for j in range(i + 1, len(col))):
+        norm = frame_norm(col, val, i, j)
+        assume(abs(norm - STATE_EQ_TOL) > 1e-6 * STATE_EQ_TOL)  # the two norms may round apart there
+        if norm <= STATE_EQ_TOL and link[i] != link[j]:
+            expected.append((i, j))
+            link = [link[i] if label == link[j] else label for label in link]
+    assert _state_function_pairs(col, val) == expected
