@@ -28,7 +28,7 @@ from .derivation import (
     saturate,
 )
 from .envariance import ENVAR_TOL, check_envariance, oracle_best_counter, phase_transform, swap_transform
-from .errors import EnvarkitError, IncompleteDerivation, NoRationalFit, ParseError, WeightMismatch
+from .errors import EnvarkitError, IncompleteDerivation, NoRationalFit, ParseError
 from .finegrain import MAX_GRAIN, RationalWeights, born_via_counting, equal_branch_derivation, fine_grain
 from .gleason import AUDIT_TOL, PowerOverlapFrame, QuadraticFrame, _check_audit_size, audit
 from .schmidt import DEGENERACY_TOL, is_even, schmidt
@@ -154,15 +154,12 @@ def _cmd_finegrain(args) -> tuple[dict, int]:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weights {args.weights!r}: {exc}") from exc
     # before any grain is formed: its digits could exceed what int-to-str converts
-    if any(not 0 <= f <= 1 for f in fracs):
-        raise WeightMismatch("every weight must lie in [0, 1]")
     if any(f.denominator > MAX_GRAIN for f in fracs):
         raise NoRationalFit(f"a weight's denominator exceeds bound {MAX_GRAIN}")
     weights = RationalWeights.from_fractions(fracs)
-    if weights.denominator > MAX_GRAIN:
-        raise NoRationalFit(f"common denominator {weights.denominator} exceeds bound {MAX_GRAIN}")
-    fine = fine_grain(weights, len(weights.numerators))
+    # refuses a grain above MAX_GRAIN before fine_grain allocates it
     probs = born_via_counting(weights)
+    fine = fine_grain(weights, len(weights.numerators))
     _, store, _ = equal_branch_derivation(weights.denominator)
     lam_sq = [float(v) ** 2 for v in schmidt(fine.state).coefficients]
     expected = sorted((float(p) for p in probs), reverse=True)

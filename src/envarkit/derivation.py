@@ -37,8 +37,10 @@ branch k on side S (0) or E (1) of the row-th distinct expr, and the
 union-find and its merge record hold only those ints.  ``generate_terms``
 returns its terms as a lazy sequence in that order, so its term sets need no
 mapping; a hand-built term set gets the same run on a store over its own
-terms, each structural id mapped once to its id there.  A store builds each
-``ProbTerm`` and ``MergeRecord`` once, when a caller first reads it.  Its
+terms, each structural id mapped once to its id there.  A ``generate_terms``
+term set and its stores share one term sequence, which builds each
+``ProbTerm`` once, when a caller first reads it; a store builds each
+``MergeRecord`` once.  Its
 trace holds its term sequence and merge record, not the store, so no
 reference cycle keeps a dropped store alive, and a trace kept after its
 store still reads.
@@ -62,6 +64,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Sequence
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -282,38 +285,41 @@ class _Lazy(Sequence):
 
 
 class _Terms(_Lazy):
-    """Every term ``p(X:k; expr)`` over distinct exprs, in structural order, then appended terms.
+    """Every term ``p(X:k; expr)`` over distinct exprs, in structural order, then extra terms.
 
     Item ``row * 2r + side * r + (k - 1)`` is branch ``k`` on side ``"SE"[side]``
     of ``exprs[row]``; this is the order ``generate_terms`` emits and the id
-    ``saturate`` gives each term.  Appended terms follow in the order added.
+    ``saturate`` gives each term.  The ``extra`` terms follow, each distinct
+    one once, in order; they must not be structural terms.  The sequence
+    never changes: ``with_term`` returns a longer copy.
     """
 
-    def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0) -> None:
+    def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0, extra=()) -> None:
         self.exprs = exprs
         self.rank = rank
+        self._rows = {expr: row for row, expr in enumerate(exprs)}
         self._items: list[ProbTerm | None] = [None] * (2 * rank * len(exprs))
-        self._rows: dict[StateExpr, int] | None = None
-        self._appended: dict[ProbTerm, int] = {}
+        self._extra = {term: n for n, term in enumerate(dict.fromkeys(extra), len(self._items))}
+        self._items.extend(self._extra)
 
     def _make(self, n: int) -> ProbTerm:
         r = self.rank
         return ProbTerm("SE"[n // r % 2], n % r + 1, self.exprs[n // (2 * r)])
 
-    def append(self, term: ProbTerm) -> int:
-        """Make ``term``, not yet an item, the last item; return its number."""
-        n = self._appended[term] = len(self._items)
-        self._items.append(term)
-        return n
+    def with_term(self, term: ProbTerm) -> "_Terms":
+        """A copy whose last item is ``term``, not yet an item; it shares the row map
+        and every term built so far."""
+        longer = copy(self)
+        longer._items = [*self._items, term]
+        longer._extra = {**self._extra, term: len(self._items)}
+        return longer
 
     def position(self, term: ProbTerm) -> int | None:
         """Item number of ``term``, or ``None``."""
-        if self._rows is None:
-            self._rows = {expr: row for row, expr in enumerate(self.exprs)}
         row = self._rows.get(term.state)
         branches = range(1, self.rank + 1)
         if row is None or term.index not in branches:
-            return self._appended.get(term)
+            return self._extra.get(term)
         side = "SE".index(term.subsystem)
         return (2 * row + side) * self.rank + branches.index(term.index)
 
@@ -566,11 +572,15 @@ class EqualityStore:
     the partition, so replaying it reproduces the partition and the merge
     graph is a forest (paths between terms are unique).  Terms are ids in
     insertion order and every class is rooted at its smallest id, the term
-    added earliest.  The store keeps one lazy term sequence: the structural
-    terms over the exprs of ``generate_terms``' lazy terms if it is built
-    from them, then any other terms it is built from and those ``add``
-    brings in.  A structural term is looked up by position without being
-    built, any other by a dict.  The union-find and the merge record (each
+    added earliest.  The store keeps one lazy term sequence: the one it is
+    built from if that is ``generate_terms``' (so a term set and its stores
+    share their terms and build each ``ProbTerm`` once), else one over the
+    distinct terms it is built from.  ``add`` replaces the store's sequence,
+    and its trace's, with a copy that also holds the new term, so the term
+    set's never changes; that copies the store's term list, O(n) in its
+    terms, as the array form's ``add`` already copies its parent array.  A
+    structural term is looked up by position without being built, any other
+    by a dict.  The union-find and the merge record (each
     merge's rule and its two ids) hold ids only: ``trace``, ``classes()``,
     ``find()`` and ``minimal_trace()`` build each ``ProbTerm`` and
     ``MergeRecord`` they return once, on first read.  ``trace`` holds the
@@ -593,12 +603,7 @@ class EqualityStore:
     """
 
     def __init__(self, terms=()) -> None:
-        if isinstance(terms, _Terms):
-            self._terms = _Terms(terms.exprs, terms.rank)
-        else:
-            self._terms = _Terms()
-            for term in dict.fromkeys(terms):
-                self._terms.append(term)
+        self._terms = terms if isinstance(terms, _Terms) else _Terms(extra=terms)
         size = len(self._terms)
         self._parent = np.arange(size, dtype=np.int64) if size >= _ARRAY_TERMS else list(range(size))
         self._rules: list[str] = []
@@ -607,8 +612,10 @@ class EqualityStore:
         self.trace = _Trace(self._terms, self._rules, self._lefts, self._rights)
 
     def add(self, term: ProbTerm) -> None:
+        """Bring in ``term`` as a class of its own, unless the store holds it already."""
         if self._terms.position(term) is None:
-            n = self._terms.append(term)
+            n = len(self._terms)
+            self._terms = self.trace._terms = self._terms.with_term(term)
             if isinstance(self._parent, list):
                 self._parent.append(n)
             else:

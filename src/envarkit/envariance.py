@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .states import (
     BipartiteState,
     LocalUnitary,
     _check_orthonormal,
+    _numeric_array,
     apply_env,
     apply_system,
     equal_up_to_global_phase,
@@ -46,7 +48,7 @@ class EnvarianceVerdict:
 
 
 def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
-    vecs = np.asarray(basis, dtype=complex)
+    vecs = _numeric_array(basis, complex, "basis")
     if vecs.ndim != 2 or vecs.shape[1] == 0:
         raise NonOrthonormalBasis(f"basis must be a nonempty 2-d column block, got shape {vecs.shape}")
     _check_orthonormal(vecs, _BASIS_TOL, "basis")
@@ -55,7 +57,13 @@ def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
 
 
 def _check_indices(indices: Iterable[int], n: int) -> None:
+    """Refuse, with ``IndexOutOfRange``, an index that is not an int (as
+    ``operator.index`` reads one) or lies outside 1..n."""
     for idx in indices:
+        try:
+            index(idx)
+        except TypeError:
+            raise IndexOutOfRange(f"index {idx!r} is not an integer") from None
         if not 1 <= idx <= n:
             raise IndexOutOfRange(f"index {idx} outside 1..{n}")
 
@@ -126,7 +134,11 @@ def check_envariance(
     Equality is strict by default; ``up_to_phase=True`` scores the residual
     modulo a global phase instead.  ``tol`` bounds the off-block entries of
     ``a``, the support leak and the restored residual.  A negative verdict
-    reports the oracle's residual, which can fall below ``tol``.
+    without a counter (a support leak or an off-block entry above ``tol``)
+    reports the oracle's residual, which can fall below ``tol``.  One that
+    fails only on the restored residual, a same-block swap whose restored
+    state lies farther than ``tol`` from ``state``, returns its counter and
+    that residual, which the oracle's can only undercut.
     ``decomposition``, when given, must be ``schmidt(state)``; it saves
     computing the Schmidt form again.
 

@@ -151,7 +151,6 @@ class _Shares(tuple):
         return self
 
 
-@lru_cache(maxsize=64, typed=True)
 def equal_branch_derivation(
     m_total: int,
 ) -> tuple[TermSet, EqualityStore, tuple[Fraction, ...]]:
@@ -164,10 +163,13 @@ def equal_branch_derivation(
     on M; the cache holds the 64 most recent grains, enough for every grain
     of the M <= 32 acceptance sweep to stay resident.  The shares also carry
     the prefix sums of their integer numerators over M, which counting reads.
-    Before building anything it refuses a grain that is not an integer (as
-    ``operator.index`` reads one) or is below 1 with ``WeightMismatch``, and
-    one above ``MAX_GRAIN`` with ``NoRationalFit``.  The cache keys on the
-    argument's type too, so ``6.0`` is refused even once ``6`` is cached.
+    Before the cache sees it, a grain that is not an integer (as
+    ``operator.index`` reads one) or is below 1 is refused with
+    ``WeightMismatch``, and one above ``MAX_GRAIN`` with ``NoRationalFit``.
+    So ``6.0`` is refused even once ``6`` is cached, an unhashable grain
+    such as ``[3]`` is refused like any other, and ``np.int64(3)`` shares
+    grain 3's entry.  ``cache_info``, ``cache_clear`` and ``__wrapped__``
+    (the uncached run) are the cache's.
     """
     try:
         m_total = index(m_total)
@@ -177,6 +179,12 @@ def equal_branch_derivation(
         raise WeightMismatch(f"the grain must be at least 1, got {_shown(m_total)}")
     if m_total > MAX_GRAIN:
         raise NoRationalFit(f"grain {_shown(m_total)} exceeds bound {MAX_GRAIN}")
+    return _derive_grain(m_total)
+
+
+@lru_cache(maxsize=64)
+def _derive_grain(m_total: int) -> tuple[TermSet, EqualityStore, tuple[Fraction, ...]]:
+    """``equal_branch_derivation`` of a checked int grain."""
     state = make_state(np.eye(m_total, dtype=complex) / np.sqrt(m_total))
     swaps = tuple((k, k + 1) for k in range(1, m_total))
     term_set = generate_terms(state, swaps)
@@ -184,6 +192,11 @@ def equal_branch_derivation(
     store = saturate(term_set, rules)
     probs = numeric_probabilities(store, state, rules, term_set.decomposition)
     return term_set, store, _Shares((p for _, p in probs), m_total)
+
+
+equal_branch_derivation.cache_info = _derive_grain.cache_info
+equal_branch_derivation.cache_clear = _derive_grain.cache_clear
+equal_branch_derivation.__wrapped__ = _derive_grain.__wrapped__
 
 
 def born_via_counting(weights: RationalWeights) -> list[Fraction]:

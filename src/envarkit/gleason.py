@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, ParseError
-from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal
+from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal, _numeric_array
 
 AUDIT_TOL = 1e-9
 
@@ -28,7 +28,7 @@ class BasisSample:
     seed: int
 
     def __post_init__(self) -> None:
-        vecs = np.array(self.vectors, dtype=complex)
+        vecs = _numeric_array(self.vectors, complex, "basis")
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1] or vecs.shape[0] < 2:
             raise DimensionMismatch(f"basis must be square with dim >= 2, got shape {vecs.shape}")
         _check_orthonormal(vecs, _BASIS_TOL, "basis")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, ParseError
 from .states import BipartiteState, _check_orthonormal, _fmt17, _rows_from_json, _rows_json
-from .states import make_state, reduced_density_system
+from .states import _numeric_array, make_state, reduced_density_system
 
 SCHMIDT_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -36,9 +36,9 @@ class SchmidtDecomposition:
     env_vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.array(self.coefficients, dtype=float)
-        svecs = np.array(self.system_vectors, dtype=complex)
-        evecs = np.array(self.env_vectors, dtype=complex)
+        lam = _numeric_array(self.coefficients, float, "coefficients")
+        svecs = _numeric_array(self.system_vectors, complex, "system_vectors")
+        evecs = _numeric_array(self.env_vectors, complex, "env_vectors")
         if lam.ndim != 1 or lam.size == 0:
             raise DimensionMismatch("coefficients must be a nonempty 1-d array")
         r = lam.size

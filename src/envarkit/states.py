@@ -49,8 +49,17 @@ def _check_orthonormal(block: np.ndarray, tol: float, what: str, error=NonOrthon
         raise error(f"{what} columns deviate from orthonormality by {defect:.3g}")
 
 
+def _numeric_array(values, dtype, what: str) -> np.ndarray:
+    """A fresh ``dtype`` array of ``values``; numpy's refusal of a ragged or
+    non-numeric input is raised as ``ParseError``."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} must be a rectangular array of numbers: {exc}") from exc
+
+
 def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    arr = _numeric_array(values, complex, what)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(
             f"{what} must be a nonempty rank-{ndim} array, got shape {arr.shape}"

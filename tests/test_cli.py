@@ -193,6 +193,15 @@ class TestFinegrainCommand:
         code, _, err = run(capsys, "finegrain", "1/3,1/3")
         assert code == 2 and "WeightMismatch" in err
 
+    def test_common_denominator_above_the_bound_is_refused_before_fine_graining(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("finegrain allocated a grain")
+
+        monkeypatch.setattr(cli, "fine_grain", refuse)
+        # every denominator is within MAX_GRAIN, but their common one is 1020
+        code, _, err = run(capsys, "finegrain", "1/20,1/20,1/51,449/510")
+        assert code == 2 and err == "NoRationalFit: grain 1020 exceeds bound 1000\n"
+
 
 class TestGleasonCommand:
     def test_quadratic_consistent(self, capsys):

@@ -31,6 +31,7 @@ from envarkit import (
     is_even,
     load_state,
     make_state,
+    oracle_best_counter,
     saturate,
     save_state,
     schmidt,
@@ -89,6 +90,24 @@ def test_one_swap_joins_its_branches_exactly_when_envariance_accepts_it(state):
             store = saturate(generate_terms(state, [(i, j)], dec), RuleSet())
             joined = store.same_class(ProbTerm("S", i, StateExpr()), ProbTerm("S", j, StateExpr()))
             assert joined == verdict.envariant, (i, j, verdict.residual)
+
+
+@given(straddling_states())
+@example(STAIRCASE)
+@settings(max_examples=60, deadline=None)
+def test_every_swap_verdict_reports_a_residual_the_oracle_bounds(state):
+    # without a counter the verdict reports the oracle's residual; with one, the
+    # restored residual, which the oracle (optimal over every environment
+    # unitary) can only undercut, and which may exceed tol inside one block
+    dec = schmidt(state)
+    for i, j in combinations(range(1, dec.rank + 1), 2):
+        u_s = swap_transform(i, j, dec.system_vectors)
+        verdict = check_envariance(state, u_s, decomposition=dec)
+        _, best = oracle_best_counter(state, u_s)
+        if verdict.counter is None:
+            assert verdict.residual == best, (i, j)
+        else:
+            assert best <= verdict.residual + 1e-12, (i, j, best, verdict.residual)
 
 
 @pytest.fixture(scope="module")

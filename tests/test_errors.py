@@ -11,16 +11,27 @@ from envarkit import (
     DimensionMismatch,
     EnvarkitError,
     IndexOutOfRange,
+    LocalUnitary,
     NonOrthonormalBasis,
     NotNormalized,
     ParseError,
     PowerOverlapFrame,
+    ProbTerm,
     QuadraticFrame,
+    RuleSet,
     SchmidtDecomposition,
+    StateExpr,
+    SystemSwap,
+    TermSet,
     audit,
+    born_value,
+    generate_terms,
     make_state,
     phase_transform,
     random_basis,
+    replay,
+    saturate,
+    schmidt,
     swap_transform,
 )
 
@@ -28,6 +39,7 @@ R = 2**-0.5
 EYE2 = np.eye(2, dtype=complex)
 EYE3 = np.eye(3, dtype=complex)
 FRAME = QuadraticFrame(EYE3 / 3)
+RAGGED = [[1, 0], [1]]  # numpy refuses it with a bare ValueError
 
 
 def decomposition(lam, svecs=EYE2):
@@ -66,6 +78,15 @@ CASES = {
     "swap-empty-basis": (NonOrthonormalBasis, lambda: swap_transform(1, 2, np.zeros((2, 0)))),
     "state-finite": (ParseError, lambda: make_state([[np.nan, 0.0], [0.0, 1.0]])),
     "amps-finite": (ParseError, lambda: BipartiteState(np.array([[np.inf, 0.0], [0.0, 1.0]]))),
+    "state-ragged": (ParseError, lambda: make_state(RAGGED)),
+    "state-string": (ParseError, lambda: make_state("ab")),
+    "amps-ragged": (ParseError, lambda: BipartiteState(RAGGED)),
+    "unitary-ragged": (ParseError, lambda: LocalUnitary(RAGGED)),
+    "quadratic-ragged": (ParseError, lambda: QuadraticFrame(RAGGED)),
+    "power-ragged": (ParseError, lambda: PowerOverlapFrame(RAGGED, 2.0)),
+    "decomposition-ragged": (ParseError, lambda: SchmidtDecomposition([R, R], RAGGED, EYE2)),
+    "basis-ragged": (ParseError, lambda: BasisSample(RAGGED, 0)),
+    "swap-ragged-basis": (ParseError, lambda: swap_transform(1, 2, RAGGED)),
 }
 
 
@@ -75,3 +96,21 @@ def test_validation_faults_are_envarkit_errors(case):
     with pytest.raises(EnvarkitError) as info:
         build()
     assert type(info.value) is kind
+
+
+BELL = make_state(EYE2 * R)
+HALF_SWAP = StateExpr().then(SystemSwap(1.5, 2))
+NON_INTEGER_INDEX = {
+    "generate-terms": lambda: generate_terms(BELL, [(1.5, 2)]),
+    "swap-transform": lambda: swap_transform(1.5, 2, EYE2),
+    "phase-transform": lambda: phase_transform((1.5,), (0.1,), EYE2),
+    "born-value": lambda: born_value(ProbTerm("S", 1.5, StateExpr()), BELL),
+    "replay": lambda: replay(HALF_SWAP, BELL),
+    "saturate": lambda: saturate(TermSet((), (StateExpr(), HALF_SWAP), (1, 2), BELL, schmidt(BELL)), RuleSet()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_INDEX))
+def test_a_branch_index_that_is_not_an_integer_is_out_of_range(case):
+    with pytest.raises(IndexOutOfRange, match="1.5 is not an integer"):
+        NON_INTEGER_INDEX[case]()

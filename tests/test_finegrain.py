@@ -201,6 +201,8 @@ def test_cold_derivation_at_grain_96_peaks_below_16_mb():
         (None, WeightMismatch),
         (MAX_GRAIN + 1, NoRationalFit),
         pytest.param(10**5000, NoRationalFit, id="5001-digits"),
+        pytest.param([3], WeightMismatch, id="list"),
+        pytest.param(np.array([3]), WeightMismatch, id="1-d-array"),
     ],
 )
 def test_equal_branch_derivation_refuses_a_grain_before_building_a_state(monkeypatch, grain, error):

@@ -56,3 +56,22 @@ def test_from_trace_rebuilds_a_hand_built_store(array, monkeypatch):
     assert list(rebuilt.trace) == list(store.trace)
     assert rebuilt.classes() == store.classes()
     assert [rebuilt.find(t) for t in terms + [extra]] == [store.find(t) for t in terms + [extra]]
+
+
+@pytest.mark.parametrize("array", [False, True])
+def test_a_store_shares_its_term_sets_terms_and_add_leaves_them_unchanged(array, monkeypatch):
+    monkeypatch.setattr(derivation, "_ARRAY_TERMS", 0 if array else 10**6)
+    term_set = generate_terms(make_state(np.eye(3, dtype=complex) / np.sqrt(3)), [(1, 2), (2, 3)])
+    store = saturate(term_set, RuleSet())
+    assert store.classes()[0][0] is term_set.terms[0]
+    terms = list(term_set.terms)
+    extra = ProbTerm("E", 2, StateExpr().then(SystemSwap(1, 3)))
+    store.add(extra)
+    assert len(term_set) == len(terms) and list(term_set.terms) == terms
+    assert term_set.terms._extra == {}
+    assert store.find(extra) is extra and store.classes()[-1] == [extra]
+    assert store.merge("custom", terms[0], extra)
+    assert store.trace[-1] == derivation.MergeRecord("custom", terms[0], extra)
+    assert all(a is b for a, b in zip(store.classes()[0], terms))
+    # a second saturation of the term set does not see the first store's term
+    assert len(saturate(term_set, RuleSet()).classes()) == 1
