@@ -32,6 +32,16 @@ entry, and ``val[k]``, its value.  Swaps permute them and phases multiply
   ``||m_i - m_j||``, which ``STATE_FUNCTION`` reads off ``col`` and ``val``
   in O(r).
 
+Every expr is its parent plus one tag, so a term set's exprs form a tree,
+and the engine keeps that tree as int arrays, the exprs' skeleton: per
+expr, its parent's row, its last tag's kind and a swap's two indices.
+``generate_terms`` records the skeleton as it lists its stops, and any
+other exprs take one pass that also gives a row to each prefix that is not
+listed.  ``_frames`` builds every frame from that skeleton one depth level
+at a time, each level a fixed number of array gathers and exchanges per
+tag kind, and checks every swap tag in one array test; the locality rules
+read their pairs off the same arrays.
+
 The engine runs on structural ids, ``row * 2r + side * r + (k - 1)`` for
 branch k on side S (0) or E (1) of the row-th distinct expr, and the
 union-find and its merge record hold only those ints.  ``generate_terms``
@@ -40,10 +50,9 @@ mapping; a hand-built term set gets the same run on a store over its own
 terms, each structural id mapped once to its id there.  A ``generate_terms``
 term set and its stores share one term sequence, which builds each
 ``ProbTerm`` once, when a caller first reads it; a store builds each
-``MergeRecord`` once.  Its
-trace holds its term sequence and merge record, not the store, so no
-reference cycle keeps a dropped store alive, and a trace kept after its
-store still reads.
+``MergeRecord`` once.  Its trace holds its term sequence and merge record,
+not the store, so no reference cycle keeps a dropped store alive, and a
+trace kept after its store still reads.
 
 Each term set finds its rule edges once: on its first saturation it works
 out its frames, its id map and every merging rule's pairs of store ids, and
@@ -52,9 +61,12 @@ keeps them, so a ``TermSet``'s terms must not change after that.  Each
 as one batch.  A store of fewer than ``_ARRAY_TERMS`` terms runs the batch
 through a parent list one pair at a time; a larger one keeps an array of
 class roots and finds the pairs the loop would keep, the position-ordered
-minimum spanning forest, in a few Boruvka rounds of array passes.  The size
-decides once, when the store is built, and both forms record the same
-merges in the same order.
+minimum spanning forest, in a few Boruvka rounds of array passes.  A batch
+in which every pair has an end that no other pair touches, as ``PAIRING``'s
+and the locality rules' are in a ``generate_terms`` derivation, is a forest
+of stars: it keeps every pair and needs no rounds.  The size decides the
+form once, when the store is built, and both forms record the same merges
+in the same order.
 
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
@@ -68,8 +80,8 @@ from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain, groupby
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -79,6 +91,7 @@ from .errors import (
     ParseError,
     UnevenCoefficients,
     UnknownTerm,
+    _shown,
 )
 from .schmidt import SchmidtDecomposition, degeneracy_blocks, schmidt
 from .states import BipartiteState, apply_env, apply_system
@@ -91,6 +104,8 @@ RULE_NAMES = ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION", "NORM
 # ``EqualityStore``).  On cold equal-branch derivations the two forms broke
 # even between 552 terms (M = 12) and 650 (M = 13).
 _ARRAY_TERMS = 600
+
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +184,7 @@ class ProbTerm:
 
     def __post_init__(self) -> None:
         if self.subsystem not in ("S", "E"):
-            raise ParseError(f"subsystem must be 'S' or 'E', got {self.subsystem!r}")
+            raise ParseError(f"subsystem must be 'S' or 'E', got {_shown(self.subsystem, repr)}")
 
     def __str__(self) -> str:
         return f"p({self.subsystem}:{self.index}; {self.state})"
@@ -297,10 +312,13 @@ class _Terms(_Lazy):
     def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0, extra=()) -> None:
         self.exprs = exprs
         self.rank = rank
-        self._rows = {expr: row for row, expr in enumerate(exprs)}
         self._items: list[ProbTerm | None] = [None] * (2 * rank * len(exprs))
         self._extra = {term: n for n, term in enumerate(dict.fromkeys(extra), len(self._items))}
         self._items.extend(self._extra)
+
+    @cached_property
+    def _rows(self) -> dict[StateExpr, int]:
+        return {expr: row for row, expr in enumerate(self.exprs)}
 
     def _make(self, n: int) -> ProbTerm:
         r = self.rank
@@ -322,6 +340,95 @@ class _Terms(_Lazy):
             return self._extra.get(term)
         side = "SE".index(term.subsystem)
         return (2 * row + side) * self.rank + branches.index(term.index)
+
+
+# ---------------------------------------------------------------------------
+# Expr skeletons
+# ---------------------------------------------------------------------------
+
+# Tag classes, numbered as a skeleton's ``kind`` numbers them: system tags are even
+_KINDS = (SystemSwap, EnvSwap, SystemPhase, EnvPhase)
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """Exprs as a tree of int arrays: row ``n`` is row ``parent[n]`` plus one tag.
+
+    A row whose ``parent`` is -1 is a bare base.  ``kind[n]`` numbers the
+    tag's class in ``_KINDS`` (-1 for a base), and ``ab[:, n]`` holds a
+    swap's two indices, counted from 0 (-1s for a phase or a base); a swap
+    index that is not an int within int64 is held as -1, which no range
+    test passes.  ``groups`` pairs a kind with the rows of one tag count
+    that carry it, by tag count, so every row's parent lies in an earlier
+    group.  The listed exprs own the first rows; ``unlisted`` holds the
+    exprs of the rows after them, each a prefix of a listed expr that is
+    not listed.
+    """
+
+    parent: np.ndarray
+    kind: np.ndarray
+    ab: np.ndarray
+    groups: list[tuple[int, np.ndarray]]
+    unlisted: tuple[StateExpr, ...] = ()
+
+
+class _Exprs(tuple):
+    """Distinct exprs, in order, that own the first rows of ``skeleton``."""
+
+    skeleton: _Skeleton
+
+
+def _skeleton(columns, unlisted: tuple[StateExpr, ...] = ()) -> _Skeleton:
+    """The skeleton whose row ``n`` is ``columns[n]``: its parent's row, its
+    tag's kind, its number of tags and a swap's two indices."""
+    flat = np.fromiter(chain.from_iterable(columns), np.int64, 5 * len(columns)).reshape(-1, 5)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for n, (_, kind, depth, _, _) in enumerate(columns):
+        groups.setdefault((depth, kind), []).append(n)
+    groups = [(kind, np.array(rows)) for (_, kind), rows in sorted(groups.items())]
+    return _Skeleton(flat[:, 0], flat[:, 1], flat[:, 3:].T - 1, groups, unlisted)
+
+
+def _int64(n) -> int:
+    """``n`` as an int if ``operator.index`` reads it as one within int64, else 0."""
+    try:
+        n = index(n)
+    except TypeError:
+        return 0
+    return n if -(2**63) < n < 2**63 else 0
+
+
+def _with_skeleton(exprs) -> _Exprs:
+    """The distinct exprs, in first-occurrence order, with their skeleton.
+
+    An ``_Exprs`` comes back as it is.  Other exprs take one pass that gives
+    each distinct expr a row, in order, and each prefix that is not listed a
+    row after them, as the pass first needs it.  A tag of no ``_KINDS``
+    class raises ``TypeError``.
+    """
+    if isinstance(exprs, _Exprs):
+        return exprs
+    rows: dict[StateExpr, int] = {}
+    for expr in exprs:
+        rows.setdefault(expr, len(rows))
+    listed = _Exprs(rows)
+    every = list(listed)  # the pass appends each unlisted prefix it meets
+    columns = []  # parent, kind, depth, i, j of each row
+    for expr in every:
+        if not expr.transforms:
+            columns.append((-1, -1, 0, 0, 0))
+            continue
+        up = expr.parent()
+        if rows.setdefault(up, len(every)) == len(every):
+            every.append(up)
+        tag = expr.transforms[-1]
+        kind = next((k for k, cls in enumerate(_KINDS) if isinstance(tag, cls)), None)
+        if kind is None:
+            raise TypeError(f"unknown transform tag {tag!r}")
+        i, j = (_int64(tag.i), _int64(tag.j)) if kind < 2 else (0, 0)
+        columns.append((rows[up], kind, len(expr.transforms), i, j))
+    listed.skeleton = _skeleton(columns, tuple(every[len(listed) :]))
+    return listed
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +476,7 @@ class TermSet:
           ``_state_function_pairs`` finds within ``STATE_EQ_TOL``.  The frame
           norm equals the dense one, since the Schmidt bases are orthonormal.
         """
-        exprs, parents, col, val = _frames(self.exprs, self.decomposition)
+        exprs, _, col, val = _frames(self.exprs, self.decomposition)
         r = col.shape[1]
         terms = self.terms
         if isinstance(terms, _Terms) and terms.exprs == self.exprs and terms.rank == r:
@@ -379,15 +486,11 @@ class TermSet:
             ids = np.array([store._id(term) for term in _Terms(exprs, r)], dtype=np.int32)
         ids = ids.reshape(len(exprs), 2, r)  # ids[row, side, k - 1]
         edges = {"PAIRING": (ids[:, 0], ids[np.arange(len(exprs))[:, None], 1, col])}
-        for rule, side, sub in (
-            ("ENV_LOCALITY", _SYSTEM_SIDE, 1),
-            ("SYS_LOCALITY", _ENV_SIDE, 0),
-        ):
-            children = [
-                n for n, expr in enumerate(exprs)
-                if parents[n] is not None and isinstance(expr.transforms[-1], side)
-            ]
-            edges[rule] = (ids[children, sub], ids[[parents[n] for n in children], sub])
+        up, kind = exprs.skeleton.parent[: len(exprs)], exprs.skeleton.kind[: len(exprs)]
+        listed = (up >= 0) & (up < len(exprs))
+        for rule, side, sub in (("ENV_LOCALITY", 0, 1), ("SYS_LOCALITY", 1, 0)):
+            children = (listed & (kind % 2 == side)).nonzero()[0]  # tags of that side
+            edges[rule] = (ids[children, sub], ids[up[children], sub])
         pairs = np.array(_state_function_pairs(col, val), dtype=int).reshape(-1, 2)
         edges["STATE_FUNCTION"] = (ids[pairs[:, 1]], ids[pairs[:, 0]])
         return {rule: (lefts.ravel(), rights.ravel()) for rule, (lefts, rights) in edges.items()}
@@ -405,7 +508,9 @@ def generate_terms(
     counterswap.  Each distinct stop is listed once, in first-visit order,
     so a repeated swap adds no expr and no terms; terms cover both
     subsystems and every branch at each stop, in structural order (``S``
-    then ``E``, branches ascending, per expr).
+    then ``E``, branches ascending, per expr).  The exprs are an ``_Exprs``
+    carrying their skeleton, recorded as each stop is listed, from which
+    ``_frames`` builds their frames.
     Swapped branches must carry equal coefficients, otherwise swapping has
     no claim to preserve the probability bookkeeping.  Equal means in one
     ``degeneracy_blocks`` block, the test ``check_envariance`` applies; a
@@ -420,7 +525,7 @@ def generate_terms(
     dec = decomposition if decomposition is not None else schmidt(state)
     r = dec.rank
     block_of = {k: block for block in degeneracy_blocks(dec) for k in block}
-    exprs: dict[StateExpr, None] = {StateExpr(): None}  # each distinct stop once, in first-visit order
+    pairs: dict[tuple[int, int], None] = {}  # each distinct swap once, in first-visit order
     for swap in swaps:
         try:
             i, j = swap
@@ -433,10 +538,14 @@ def generate_terms(
                 f"branches {i} and {j} lie in different equal-coefficient blocks"
                 f" {block_of[i]} and {block_of[j]}"
             )
-        swapped = StateExpr().then(SystemSwap(i, j))
-        exprs[swapped] = None
-        exprs[swapped.then(EnvSwap(i, j))] = None
-    exprs = tuple(exprs)
+        pairs[i, j] = None  # a pair equals another exactly when its stops do
+    exprs, columns = [StateExpr()], [(-1, -1, 0, 0, 0)]  # see ``_skeleton``
+    for i, j in pairs:
+        swapped = StateExpr((SystemSwap(i, j),))
+        exprs += (swapped, swapped.then(EnvSwap(i, j)))
+        columns += ((0, 0, 1, i, j), (len(exprs) - 2, 1, 2, i, j))
+    exprs = _Exprs(exprs)
+    exprs.skeleton = _skeleton(columns)
     return TermSet(_Terms(exprs, r), exprs, tuple(range(1, r + 1)), state, dec)
 
 
@@ -508,8 +617,25 @@ def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) ->
     belongs to that forest, and the classes joined by picks contract to one
     before the next round.  A round at least halves the classes with live
     edges, and each is a fixed number of array passes.
+
+    One count of each class's edge ends finds a batch in which every edge
+    has an end of degree one, an end no other edge touches.  No edge of
+    such a batch closes a cycle or repeats another: it is a forest of stars,
+    every edge is kept, and each star's classes take the smallest of their
+    roots, with no rounds.  A matching, such as ``PAIRING``'s batch in a
+    fresh store, is the case where every end has degree one.
     """
     a, b = root[lefts], root[rights]
+    if a.size:
+        degree = np.bincount(np.concatenate((a, b)))
+        leaf = degree[a] == 1
+        if (leaf | (degree[b] == 1)).all():
+            centre, leaf = np.where(leaf, b, a), np.where(leaf, a, b)
+            low = np.arange(root.size)
+            np.minimum.at(low, centre, leaf)
+            low[leaf] = low[centre]
+            root[:] = low[root]
+            return np.arange(a.size)
     edge = np.flatnonzero(a != b)
     if not edge.size:
         return edge
@@ -706,7 +832,13 @@ class EqualityStore:
 def _direction(size: int) -> np.ndarray:
     """Fixed unit real vector; its irregular entries keep distinct states apart."""
     w = np.sin(np.arange(1.0, size + 1.0) ** 2)
-    return w / np.linalg.norm(w)
+    return w / np.sqrt(w @ w)  # the bits of np.linalg.norm, without its dispatch
+
+
+def _exchanged(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` with the values ``a[n]`` and ``b[n]`` exchanged in its row ``n``."""
+    a, b = a[:, None], b[:, None]
+    return np.where(x == a, b, np.where(x == b, a, x))
 
 
 def _frames(
@@ -719,42 +851,60 @@ def _frames(
     k]`` is the column of row ``k``'s entry for expr ``n`` and ``val[n, k]``
     its value.  A system swap permutes both at the swapped rows, an
     environment swap exchanges two columns, and a phase multiplies ``val``.
-    Returns the distinct exprs in first-occurrence order, each one's parent
-    row (``None`` for the base or an unlisted parent), ``col`` and ``val``.
-    A malformed tag raises what ``replay`` raises for it.
+
+    Every expr is its parent plus one tag, so the frames are built from the
+    exprs' skeleton (``_with_skeleton``: ``generate_terms`` hands over its
+    own, and other exprs take one pass), one group of rows at a time, each
+    group one tag count and one tag kind, fewer tags first.  A group of
+    system swaps gathers its parents' frames with rows ``a`` and ``b``
+    exchanged; a group of environment swaps gathers them and exchanges the
+    labels ``a`` and ``b`` in ``col``: a fixed number of array operations
+    per group.  Every swap tag is checked first, in one array test of range
+    and distinctness, and only a bad one is handed to ``_check_swap`` and
+    ``_check_indices``, the first in group order, so a malformed tag raises
+    what ``replay`` raises for it.  Each phase tag is checked and applied on
+    its own.  Returns the distinct exprs in first-occurrence order (with
+    their skeleton), each one's parent row (``None`` for a base or an
+    unlisted parent), ``col`` and ``val``.
     """
-    rows: dict[StateExpr, int] = {}
-    for expr in exprs:
-        rows.setdefault(expr, len(rows))
-    parents = [rows.get(expr.parent()) if expr.transforms else None for expr in rows]
+    exprs = _with_skeleton(exprs)
+    skel = exprs.skeleton
+    every = exprs + skel.unlisted  # each row's expr
     r = dec.rank
-    lam = dec.coefficients.tolist()
-    cols, vals = [], []
-    for expr in rows:
-        col, val = list(range(r)), list(lam)
-        for t in expr.transforms:
-            if isinstance(t, (SystemSwap, EnvSwap)):
-                _check_swap(t.i, t.j)
-                _check_indices((t.i, t.j), r)
-                a, b = t.i - 1, t.j - 1
-                if isinstance(t, EnvSwap):
-                    a, b = col.index(a), col.index(b)  # the rows holding columns i and j
-                else:
-                    val[a], val[b] = val[b], val[a]
-                col[a], col[b] = col[b], col[a]
-            elif isinstance(t, (SystemPhase, EnvPhase)):
+    a, b = skel.ab
+    bad = (a == b) | (a.view(np.uint64) >= r) | (b.view(np.uint64) >= r)  # a negative index wraps
+    bad &= skel.kind // 2 == 0  # swaps only
+    if bad.any():
+        first = next(rows[bad[rows]][0] for _, rows in skel.groups if bad[rows].any())
+        t = every[first].transforms[-1]
+        _check_swap(t.i, t.j)
+        _check_indices((t.i, t.j), r)  # raises: the array test is its complement
+    col = np.empty((skel.parent.size, r), dtype=int)
+    val = np.empty((skel.parent.size, r), dtype=complex)
+    for kind, rows in skel.groups:
+        if kind < 0:
+            col[rows], val[rows] = np.arange(r), dec.coefficients
+            continue
+        up = skel.parent[rows]
+        if kind >= 2:
+            col[rows], val[rows] = col[up], val[up]
+            system = kind == 2
+            for n in rows.tolist():
+                t = every[n].transforms[-1]
                 _check_phase(t.indices, t.betas)
                 _check_indices(t.indices, r)
-                system = isinstance(t, SystemPhase)
                 for k, phase in zip(t.indices, np.exp(1j * np.array(t.betas, float))):
-                    n = k - 1 if system else col.index(k - 1)
-                    val[n] *= phase
-            else:
-                raise TypeError(f"unknown transform tag {t!r}")
-        cols.append(col)
-        vals.append(val)
-    val = np.array(vals, dtype=complex).reshape(len(rows), r)
-    return tuple(rows), parents, np.array(cols, dtype=int).reshape(len(rows), r), val
+                    val[n, k - 1 if system else col[n].tolist().index(k - 1)] *= phase
+            continue
+        a, b = skel.ab[:, rows]
+        if kind == 0:  # the parent's rows a and b change places
+            up = up[:, None], _exchanged(np.arange(r), a, b)
+            col[rows], val[rows] = col[up], val[up]
+        else:  # its columns a and b change places, so their labels do
+            col[rows], val[rows] = _exchanged(col[up], a, b), val[up]
+    listed = len(exprs)
+    parents = [up if 0 <= up < listed else None for up in skel.parent[:listed].tolist()]
+    return exprs, parents, col[:listed], val[:listed]
 
 
 def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, int]]:
@@ -768,22 +918,29 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
     ``|v_i|^2 + |v_j|^2``.  Each first expr's unlinked partners are
     norm-tested in one array pass, then linked in order; the tests have no
     side effects, so testing a partner that an earlier link of the same
-    expr reaches changes nothing.
+    expr reaches changes nothing, and a partner joins when it is the first of
+    its link class to pass.  An expr whose frame equals, entry for entry,
+    that of the lowest expr of equal projection takes no turn: that expr
+    linked it and tested every partner it would test, with the same bits.
     """
     count, r = col.shape
     size = r * r
     # |sigma_i - sigma_j| <= ||m_i - m_j||; the slack covers the rounding of
     # both projections, each within size * eps for unit-norm states
     sigma = (val.real * _direction(size)[np.arange(r) * r + col]).sum(axis=1)
-    order = np.argsort(sigma, kind="stable")
+    order = sigma.argsort(kind="stable")
     ranked = sigma[order]
-    bound = STATE_EQ_TOL + 4 * size * np.finfo(float).eps
+    bound = STATE_EQ_TOL + 4 * size * _EPS
     # each expr's window of ranks, itself included
-    start = np.searchsorted(ranked, sigma - bound, side="left")
-    stop = np.searchsorted(ranked, sigma + bound, side="right")
+    start = ranked.searchsorted(sigma - bound, side="left")
+    stop = ranked.searchsorted(sigma + bound, side="right")
+    turns = (stop - start > 1).nonzero()[0]
+    lowest = order[ranked.searchsorted(sigma[turns], side="left")]  # of equal projection
+    copies = (lowest != turns) & (col[turns] == col[lowest]).all(axis=1)
+    copies &= (val[turns] == val[lowest]).all(axis=1)
     link = np.arange(count)  # a label per expr, shared by linked exprs
     pairs = []
-    for i in np.flatnonzero(stop - start > 1).tolist():
+    for i in turns[~copies].tolist():
         partners = order[start[i] : stop[i]]
         partners = partners[(partners > i) & (link[partners] != link[i])]
         if not partners.size:
@@ -794,10 +951,15 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
             abs(val[i] - val[partners]) ** 2,
             abs(val[i]) ** 2 + abs(val[partners]) ** 2,
         )
-        for j in partners[np.sqrt(rows.sum(axis=1)) <= STATE_EQ_TOL].tolist():
-            if link[j] != link[i]:
-                pairs.append((i, j))
-                link[link == link[j]] = link[i]
+        passed = partners[np.sqrt(rows.sum(axis=1)) <= STATE_EQ_TOL]
+        labels = link[passed]
+        joined: dict[int, int] = {}  # each link class's first partner to pass
+        for j, label in zip(passed.tolist(), labels.tolist()):
+            joined.setdefault(label, j)
+        pairs += [(i, j) for j in joined.values()]
+        hit = np.zeros(count, dtype=bool)
+        hit[labels] = True
+        link[hit[link]] = link[i]
     return pairs
 
 
@@ -848,10 +1010,15 @@ def numeric_probabilities(
     if not rules.normalization:
         raise IncompleteDerivation("normalization rule is disabled; no numbers can be emitted")
     d = (decomposition if decomposition is not None else schmidt(state)).rank
-    base = StateExpr()
-    roots = {store._root_of(store._id(ProbTerm("S", k, base))) for k in range(1, d + 1)}
+    base, terms = StateExpr(), store._terms
+    if terms.rank == d and terms.exprs[:1] == (base,):  # as ``generate_terms`` lists it
+        ids = range(d)
+    else:
+        ids = (store._id(ProbTerm("S", k, base)) for k in range(1, d + 1))
+    roots = {store._root_of(tid) for tid in ids}
     if len(roots) != 1:
         raise IncompleteDerivation(
             f"{len(roots)} distinct classes cover the {d} branch terms; equality not derived"
         )
-    return [(k, Fraction(1, d)) for k in range(1, d + 1)]
+    share = Fraction(1, d)
+    return [(k, share) for k in range(1, d + 1)]

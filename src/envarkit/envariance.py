@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis, ParseError
+from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis, ParseError, _shown
 from .schmidt import DEGENERACY_TOL, SCHMIDT_CUTOFF, SchmidtDecomposition, degeneracy_blocks, schmidt
 from .states import (
     _BASIS_TOL,
@@ -65,7 +65,7 @@ def _check_indices(indices: Iterable[int], n: int) -> None:
         except TypeError:
             raise IndexOutOfRange(f"index {idx!r} is not an integer") from None
         if not 1 <= idx <= n:
-            raise IndexOutOfRange(f"index {idx} outside 1..{n}")
+            raise IndexOutOfRange(f"index {_shown(idx)} outside 1..{n}")
 
 
 def _check_swap(i: int, j: int) -> None:
@@ -78,7 +78,11 @@ def _check_phase(indices: Sequence[int], betas: Sequence[float]) -> None:
         raise DimensionMismatch(f"{len(indices)} indices but {len(betas)} phases")
     if len(set(indices)) != len(indices):
         raise IndexOutOfRange("phase indices must be distinct")
-    if not all(map(isfinite, betas)):
+    try:
+        finite = all(map(isfinite, betas))
+    except (TypeError, OverflowError):  # not a real number, or an int past float range
+        raise ParseError("phases must be real numbers within float range") from None
+    if not finite:
         raise ParseError("phases must be finite (no NaN/Inf entries)")
 
 

@@ -2,8 +2,26 @@
 
 All of these subclass :class:`ValueError` through a common base so callers
 can catch everything the toolkit raises with one clause, while the CLI can
-surface the specific class name in its error messages.
+surface the specific class name in its error messages.  Messages name an
+int too long to print by its bit length (``_shown``).
 """
+
+# Error messages name an int of more bits than this by its bit length: printing
+# one of more than 4,300 digits raises ``ValueError``, and a long one floods stderr.
+_SHOWN_BITS = 256
+
+
+def _too_long(value) -> bool:
+    return isinstance(value, int) and value.bit_length() > _SHOWN_BITS
+
+
+def _shown(value, show=str) -> str:
+    """``show(value)``, with each int of more than ``_SHOWN_BITS`` bits named by its bit length."""
+    if isinstance(value, (tuple, list)) and any(map(_too_long, value)):
+        return "(" + ", ".join(map(_shown, value)) + ")"
+    if _too_long(value):
+        return f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
+    return show(value)
 
 
 class EnvarkitError(ValueError):

@@ -19,29 +19,13 @@ from operator import index
 import numpy as np
 
 from .derivation import EqualityStore, RuleSet, TermSet, generate_terms, numeric_probabilities, saturate
-from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch
+from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch, _shown
+from .schmidt import SchmidtDecomposition
 from .states import BipartiteState, make_state
 
 # Largest grain M: ``rationalize``'s default bound, the ``finegrain`` command's,
 # and the largest ``equal_branch_derivation`` builds (its store holds 4M^2 - 2M terms).
 MAX_GRAIN = 1000
-
-# Error messages name an int of more bits than this by its bit length: printing
-# one of more than 4,300 digits raises ``ValueError``, and a long one floods stderr.
-_SHOWN_BITS = 256
-
-
-def _too_long(value) -> bool:
-    return isinstance(value, int) and value.bit_length() > _SHOWN_BITS
-
-
-def _shown(value) -> str:
-    """``str(value)``, with each int of more than ``_SHOWN_BITS`` bits named by its bit length."""
-    if isinstance(value, (tuple, list)) and any(map(_too_long, value)):
-        return "(" + ", ".join(map(_shown, value)) + ")"
-    if _too_long(value):
-        return f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -182,12 +166,24 @@ def equal_branch_derivation(
     return _derive_grain(m_total)
 
 
+def _even_decomposition(m_total: int) -> SchmidtDecomposition:
+    """The Schmidt form of the even M-branch state ``eye(M) / sqrt(M)``, read off:
+    M coefficients ``M**-0.5`` on the standard bases of both sides."""
+    eye = np.eye(m_total)
+    return SchmidtDecomposition(np.full(m_total, m_total**-0.5), eye, eye)
+
+
 @lru_cache(maxsize=64)
 def _derive_grain(m_total: int) -> tuple[TermSet, EqualityStore, tuple[Fraction, ...]]:
-    """``equal_branch_derivation`` of a checked int grain."""
+    """``equal_branch_derivation`` of a checked int grain.
+
+    The state is diagonal, so its Schmidt form is read off
+    (``_even_decomposition``) rather than computed by ``schmidt``; the
+    decomposition's constructor still checks it.
+    """
     state = make_state(np.eye(m_total, dtype=complex) / np.sqrt(m_total))
     swaps = tuple((k, k + 1) for k in range(1, m_total))
-    term_set = generate_terms(state, swaps)
+    term_set = generate_terms(state, swaps, _even_decomposition(m_total))
     rules = RuleSet()
     store = saturate(term_set, rules)
     probs = numeric_probabilities(store, state, rules, term_set.decomposition)

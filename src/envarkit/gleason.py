@@ -10,11 +10,13 @@ proof of anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isnan
+from operator import index
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, ParseError
+from .errors import DimensionMismatch, NotNormalized, ParseError, _shown
 from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal, _numeric_array
 
 AUDIT_TOL = 1e-9
@@ -56,8 +58,12 @@ def _haar_bases(dim: int, seeds) -> np.ndarray:
 
 def random_basis(dim: int, seed: int) -> BasisSample:
     """Haar-distributed orthonormal basis from a seeded complex Gaussian."""
+    try:
+        dim = index(dim)
+    except TypeError:
+        raise DimensionMismatch(f"basis dimension must be an integer, got {type(dim).__name__}") from None
     if dim < 2:
-        raise DimensionMismatch(f"basis dimension must be at least 2, got {dim}")
+        raise DimensionMismatch(f"basis dimension must be at least 2, got {_shown(dim)}")
     _check_seed(seed)
     return BasisSample(_haar_bases(dim, [seed])[0], seed)
 
@@ -105,7 +111,12 @@ class PowerOverlapFrame:
         w = _as_complex_array(self.w, 1, "w")
         if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
             raise NotNormalized("w must be a unit vector")
-        if np.isnan(self.alpha):
+        try:
+            nan = isnan(self.alpha)
+        except (TypeError, OverflowError):  # not a real number, or an int past float range
+            kind = type(self.alpha).__name__
+            raise ParseError(f"alpha must be a real number within float range, got {kind}") from None
+        if nan:
             raise ParseError("alpha must be a number, got NaN")
         object.__setattr__(self, "w", w)
 

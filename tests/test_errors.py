@@ -87,6 +87,17 @@ CASES = {
     "decomposition-ragged": (ParseError, lambda: SchmidtDecomposition([R, R], RAGGED, EYE2)),
     "basis-ragged": (ParseError, lambda: BasisSample(RAGGED, 0)),
     "swap-ragged-basis": (ParseError, lambda: swap_transform(1, 2, RAGGED)),
+    "swap-huge-index": (IndexOutOfRange, lambda: swap_transform(10**5000, 1, EYE2)),
+    "generate-terms-huge-index": (IndexOutOfRange, lambda: generate_terms(BELL, [(10**5000, 1)])),
+    "term-huge-subsystem": (ParseError, lambda: ProbTerm(10**5000, 1, StateExpr())),
+    "random-basis-float-dim": (DimensionMismatch, lambda: random_basis(2.5, 0)),
+    "power-string-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), "ab")),
+    "phase-string-beta": (ParseError, lambda: phase_transform((1,), ("x",), EYE2)),
+    "phase-huge-beta": (ParseError, lambda: phase_transform((1,), (10**5000,), EYE2)),
+    "phase-complex-beta": (ParseError, lambda: phase_transform((1,), (1j,), EYE2)),
+    "power-huge-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), 10**5000)),
+    "power-list-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), [2.0])),
+    "random-basis-string-dim": (DimensionMismatch, lambda: random_basis("3", 0)),
 }
 
 
@@ -114,3 +125,19 @@ NON_INTEGER_INDEX = {
 def test_a_branch_index_that_is_not_an_integer_is_out_of_range(case):
     with pytest.raises(IndexOutOfRange, match="1.5 is not an integer"):
         NON_INTEGER_INDEX[case]()
+
+
+HUGE = {
+    "swap-transform": lambda: swap_transform(10**5000, 1, EYE2),
+    "generate-terms": lambda: generate_terms(BELL, [(10**5000, 1)]),
+    "prob-term": lambda: ProbTerm(10**5000, 1, StateExpr()),
+    "random-basis": lambda: random_basis(-(10**5000), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE))
+def test_a_huge_int_is_named_by_its_bit_length(case):
+    with pytest.raises(EnvarkitError, match="16610-bit integer") as info:
+        HUGE[case]()
+    assert len(str(info.value)) < 120
+
