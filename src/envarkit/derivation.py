@@ -35,24 +35,29 @@ entry, and ``val[k]``, its value.  Swaps permute them and phases multiply
 Every expr is its parent plus one tag, so a term set's exprs form a tree,
 and the engine keeps that tree as int arrays, the exprs' skeleton: per
 expr, its parent's row, its last tag's kind and a swap's two indices.
-``generate_terms`` records the skeleton as it lists its stops, and any
-other exprs take one pass that also gives a row to each prefix that is not
-listed.  ``_frames`` builds every frame from that skeleton one depth level
-at a time, each level a fixed number of array gathers and exchanges per
-tag kind, and checks every swap tag in one array test; the locality rules
-read their pairs off the same arrays.
+``generate_terms`` computes the skeleton from its distinct swap pairs by
+index arithmetic, and lists its exprs as a lazy sequence that builds each
+``StateExpr``, in the skeleton's layout, on its first read; any other exprs
+take one pass that also gives a row to each prefix that is not listed.
+``_frames`` builds every frame from that skeleton one depth level at a
+time, each level a fixed number of array gathers and exchanges per tag
+kind, and checks every swap tag in one array test; the locality rules read
+their pairs off the same arrays.
 
 The engine runs on structural ids, ``row * 2r + side * r + (k - 1)`` for
 branch k on side S (0) or E (1) of the row-th distinct expr, and the
-union-find and its merge record hold only those ints.  ``generate_terms``
-returns its terms as a lazy sequence in that order, so its term sets need no
-mapping; a hand-built term set gets the same run on a store over its own
-terms, each structural id mapped once to its id there.  A ``generate_terms``
-term set and its stores share one term sequence, which builds each
-``ProbTerm`` once, when a caller first reads it; a store builds each
-``MergeRecord`` once.  Its trace holds its term sequence and merge record,
-not the store, so no reference cycle keeps a dropped store alive, and a
-trace kept after its store still reads.
+union-find and its merge record hold only those ints: two ids per merge
+and one rule entry per batch.  ``generate_terms`` returns its terms as a
+lazy sequence in that order, so its term sets need no mapping; a
+hand-built term set gets the same run on a store over its own terms, each
+structural id mapped once to its id there.  A ``generate_terms`` term set
+and its stores share one term sequence, which builds each ``ProbTerm``
+once, when a caller first reads it; a store builds each ``MergeRecord``
+once.  A lazy sequence keeps only the items built so far, so a cold
+derivation, which reads no expr but the base, no term and no record, holds
+arrays and a few objects per batch.  Its trace holds its term sequence and
+merge record, not the store, so no reference cycle keeps a dropped store
+alive, and a trace kept after its store still reads.
 
 Each term set finds its rule edges once: on its first saturation it works
 out its frames, its id map and every merging rule's pairs of store ids, and
@@ -74,6 +79,7 @@ The dense ``replay`` and ``born_value`` are the oracle that audits it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from copy import copy
@@ -101,9 +107,10 @@ STATE_EQ_TOL = 1e-9
 RULE_NAMES = ("PAIRING", "ENV_LOCALITY", "SYS_LOCALITY", "STATE_FUNCTION", "NORMALIZATION")
 
 # Stores with at least this many terms unite batches in array passes (see
-# ``EqualityStore``).  On cold equal-branch derivations the two forms broke
-# even between 552 terms (M = 12) and 650 (M = 13).
-_ARRAY_TERMS = 600
+# ``EqualityStore``).  On cold equal-branch derivations the two forms' union
+# stages broke even near 552 terms (M = 12): the list form was faster at 462
+# (M = 11) and below, the array form at 650 (M = 13) and above.
+_ARRAY_TERMS = 500
 
 _EPS = float(np.finfo(float).eps)
 
@@ -190,6 +197,11 @@ class ProbTerm:
         return f"p({self.subsystem}:{self.index}; {self.state})"
 
 
+def _named(term: ProbTerm) -> str:
+    """``str(term)`` for an error message: an index too long to print is named by its bit length."""
+    return f"p({term.subsystem}:{_shown(term.index)}; {term.state})"
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Switchable assumption rules; all merging rules default to on."""
@@ -267,27 +279,39 @@ def born_value(
 class _Lazy(Sequence):
     """Read-only sequence whose items are built on their first read and kept.
 
-    ``_items`` holds every item, ``None`` standing for one not yet built, and
-    supplies the length, negative indexes and ``IndexError``; ``_make(n)``
-    builds item ``n``.  It compares equal to any sequence with equal items,
-    and ``+`` appends another sequence to it as a tuple.
+    ``_built`` maps the number of each item built so far to the item, and
+    ``_make(n)`` builds item ``n`` of the ``_size`` items.  Indexes read as a
+    list's: a negative one counts from the end, one outside the sequence
+    raises ``IndexError`` and one that is not an int ``TypeError``; a slice
+    returns the items it covers as a ``_slice``.  The sequence compares equal
+    to any sequence with equal items, and ``+`` appends another sequence to it
+    as a tuple.
     """
 
-    _items: list
+    _built: dict
+    _size: int
+    _slice = list
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[i] for i in range(*n.indices(len(self._items)))]
-        item = self._items[n]
+        if type(n) is not int:
+            if isinstance(n, slice):
+                return self._slice(map(self.__getitem__, range(*n.indices(self._size))))
+            n = index(n)
+        if n < 0:
+            n += self._size
+        item = self._built.get(n)
         if item is None:
-            n %= len(self._items)
-            item = self._items[n] = self._make(n)
+            if not 0 <= n < self._size:
+                raise IndexError(f"{type(self).__name__} index out of range")
+            item = self._built[n] = self._make(n)
         return item
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -309,12 +333,13 @@ class _Terms(_Lazy):
     never changes: ``with_term`` returns a longer copy.
     """
 
-    def __init__(self, exprs: tuple[StateExpr, ...] = (), rank: int = 0, extra=()) -> None:
+    def __init__(self, exprs: Sequence[StateExpr] = (), rank: int = 0, extra=()) -> None:
         self.exprs = exprs
         self.rank = rank
-        self._items: list[ProbTerm | None] = [None] * (2 * rank * len(exprs))
-        self._extra = {term: n for n, term in enumerate(dict.fromkeys(extra), len(self._items))}
-        self._items.extend(self._extra)
+        structural = 2 * rank * len(exprs)
+        self._extra = {term: n for n, term in enumerate(dict.fromkeys(extra), structural)}
+        self._built: dict[int, ProbTerm] = {n: term for term, n in self._extra.items()}
+        self._size = structural + len(self._extra)
 
     @cached_property
     def _rows(self) -> dict[StateExpr, int]:
@@ -328,8 +353,9 @@ class _Terms(_Lazy):
         """A copy whose last item is ``term``, not yet an item; it shares the row map
         and every term built so far."""
         longer = copy(self)
-        longer._items = [*self._items, term]
-        longer._extra = {**self._extra, term: len(self._items)}
+        longer._built = {**self._built, self._size: term}
+        longer._extra = {**self._extra, term: self._size}
+        longer._size += 1
         return longer
 
     def position(self, term: ProbTerm) -> int | None:
@@ -372,10 +398,35 @@ class _Skeleton:
     unlisted: tuple[StateExpr, ...] = ()
 
 
-class _Exprs(tuple):
-    """Distinct exprs, in order, that own the first rows of ``skeleton``."""
+class _Exprs(_Lazy):
+    """Distinct exprs, in order, that own the first rows of ``skeleton``; read as a tuple.
 
-    skeleton: _Skeleton
+    ``generate_terms``' exprs are built on first read, in the skeleton's
+    layout: row 0 is the base, and pair ``p`` of ``pairs`` owns rows
+    ``2p + 1`` (its system swap) and ``2p + 2`` (that row plus the
+    environment counterswap).  Other exprs (``_with_skeleton``) come built.
+    A slice is a tuple.
+    """
+
+    _slice = tuple
+
+    def __init__(self, skeleton: _Skeleton, built: Sequence[StateExpr] = (), pairs=()) -> None:
+        self.skeleton = skeleton
+        self._pairs = pairs
+        self._built: dict[int, StateExpr] = dict(enumerate(built))
+        self._size = skeleton.parent.size - len(skeleton.unlisted)
+
+    def _make(self, n: int) -> StateExpr:
+        if n == 0:
+            return StateExpr()
+        i, j = self._pairs[(n - 1) // 2]
+        if n % 2:
+            return StateExpr((SystemSwap(i, j),))
+        return self[n - 1].then(EnvSwap(i, j))
+
+    def row(self, n: int) -> StateExpr:
+        """The expr of skeleton row ``n``, listed or not."""
+        return self[n] if n < self._size else self.skeleton.unlisted[n - self._size]
 
 
 def _skeleton(columns, unlisted: tuple[StateExpr, ...] = ()) -> _Skeleton:
@@ -411,8 +462,8 @@ def _with_skeleton(exprs) -> _Exprs:
     rows: dict[StateExpr, int] = {}
     for expr in exprs:
         rows.setdefault(expr, len(rows))
-    listed = _Exprs(rows)
-    every = list(listed)  # the pass appends each unlisted prefix it meets
+    listed = len(rows)
+    every = list(rows)  # the pass appends each unlisted prefix it meets
     columns = []  # parent, kind, depth, i, j of each row
     for expr in every:
         if not expr.transforms:
@@ -427,8 +478,7 @@ def _with_skeleton(exprs) -> _Exprs:
             raise TypeError(f"unknown transform tag {tag!r}")
         i, j = (_int64(tag.i), _int64(tag.j)) if kind < 2 else (0, 0)
         columns.append((rows[up], kind, len(expr.transforms), i, j))
-    listed.skeleton = _skeleton(columns, tuple(every[len(listed) :]))
-    return listed
+    return _Exprs(_skeleton(columns, tuple(every[listed:])), every[:listed])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +490,7 @@ class TermSet:
     """Terms for one derivation run plus the context needed to replay them."""
 
     terms: Sequence[ProbTerm]
-    exprs: tuple[StateExpr, ...]
+    exprs: Sequence[StateExpr]
     branches: tuple[int, ...]
     base_state: BipartiteState
     decomposition: SchmidtDecomposition
@@ -508,9 +558,11 @@ def generate_terms(
     counterswap.  Each distinct stop is listed once, in first-visit order,
     so a repeated swap adds no expr and no terms; terms cover both
     subsystems and every branch at each stop, in structural order (``S``
-    then ``E``, branches ascending, per expr).  The exprs are an ``_Exprs``
-    carrying their skeleton, recorded as each stop is listed, from which
-    ``_frames`` builds their frames.
+    then ``E``, branches ascending, per expr).  The exprs are an ``_Exprs``,
+    a lazy sequence that reads as a tuple, over their skeleton: the base,
+    then each distinct pair's two stops, computed from the pairs by index
+    arithmetic.  ``_frames`` builds the frames from the skeleton, and each
+    ``StateExpr`` is built on its first read.
     Swapped branches must carry equal coefficients, otherwise swapping has
     no claim to preserve the probability bookkeeping.  Equal means in one
     ``degeneracy_blocks`` block, the test ``check_envariance`` applies; a
@@ -539,13 +591,17 @@ def generate_terms(
                 f" {block_of[i]} and {block_of[j]}"
             )
         pairs[i, j] = None  # a pair equals another exactly when its stops do
-    exprs, columns = [StateExpr()], [(-1, -1, 0, 0, 0)]  # see ``_skeleton``
-    for i, j in pairs:
-        swapped = StateExpr((SystemSwap(i, j),))
-        exprs += (swapped, swapped.then(EnvSwap(i, j)))
-        columns += ((0, 0, 1, i, j), (len(exprs) - 2, 1, 2, i, j))
-    exprs = _Exprs(exprs)
-    exprs.skeleton = _skeleton(columns)
+    pairs = list(pairs)
+    # row 0 is the base; pair p's system swap is row 2p + 1, its counterswap row 2p + 2
+    size = 1 + 2 * len(pairs)
+    parent = np.arange(-1, size - 1)
+    parent[1::2] = 0
+    kind = 1 - np.arange(size) % 2
+    kind[0] = -1
+    ab = np.full((2, size), -1)
+    ab[:, 1::2] = ab[:, 2::2] = np.array(pairs, dtype=np.int64).reshape(-1, 2).T - 1
+    groups = [(-1, np.zeros(1, dtype=int)), (0, np.arange(1, size, 2)), (1, np.arange(2, size, 2))]
+    exprs = _Exprs(_Skeleton(parent, kind, ab, groups), pairs=pairs)
     return TermSet(_Terms(exprs, r), exprs, tuple(range(1, r + 1)), state, dec)
 
 
@@ -679,16 +735,31 @@ class _Trace(_Lazy):
     """A store's effective merges as ``MergeRecord``s, in the order made.
 
     Built from the store's term sequence and merge record, never the store
-    itself (see ``EqualityStore``).
+    itself (see ``EqualityStore``).  The record holds each merge's two ids
+    and, per batch, one entry in ``_rules`` and in ``_ends``: the batch's
+    rule and the number of merges made by its end.
     """
 
-    def __init__(self, terms: _Terms, rules: list[str], lefts: array, rights: array) -> None:
-        self._terms, self._rules, self._lefts, self._rights = terms, rules, lefts, rights
-        self._items: list[MergeRecord | None] = []
+    def __init__(self, terms: _Terms) -> None:
+        self._terms = terms
+        self._lefts, self._rights = array("i"), array("i")
+        self._rules: list[str] = []
+        self._ends: list[int] = []
+        self._built: dict[int, MergeRecord] = {}
+        self._size = 0
+
+    def _record(self, rule: str, lefts: np.ndarray, rights: np.ndarray) -> None:
+        """Append one batch of merges, the ids ``lefts[n]`` and ``rights[n]`` of each."""
+        if lefts.size:
+            self._lefts.frombytes(lefts.astype(np.intc, copy=False).tobytes())
+            self._rights.frombytes(rights.astype(np.intc, copy=False).tobytes())
+            self._size = len(self._lefts)
+            self._rules.append(rule)
+            self._ends.append(self._size)
 
     def _make(self, n: int) -> MergeRecord:
-        left, right = self._terms[self._lefts[n]], self._terms[self._rights[n]]
-        return MergeRecord(self._rules[n], left, right)
+        rule = self._rules[bisect_right(self._ends, n)]
+        return MergeRecord(rule, self._terms[self._lefts[n]], self._terms[self._rights[n]])
 
 
 class EqualityStore:
@@ -703,11 +774,11 @@ class EqualityStore:
     share their terms and build each ``ProbTerm`` once), else one over the
     distinct terms it is built from.  ``add`` replaces the store's sequence,
     and its trace's, with a copy that also holds the new term, so the term
-    set's never changes; that copies the store's term list, O(n) in its
-    terms, as the array form's ``add`` already copies its parent array.  A
+    set's never changes; that copies the terms built so far, O(n) at most,
+    as the array form's ``add`` already copies its parent array.  A
     structural term is looked up by position without being built, any other
-    by a dict.  The union-find and the merge record (each
-    merge's rule and its two ids) hold ids only: ``trace``, ``classes()``,
+    by a dict.  The union-find and the merge record (each merge's
+    two ids, and each batch's rule) hold ids only: ``trace``, ``classes()``,
     ``find()`` and ``minimal_trace()`` build each ``ProbTerm`` and
     ``MergeRecord`` they return once, on first read.  ``trace`` holds the
     term sequence and the merge record, never the store: the store is
@@ -723,19 +794,17 @@ class EqualityStore:
     microseconds however small the batch.  Both take a batch, update the
     partition and return the positions of the pairs they kept: the same
     merges, in the same order, with the same roots.  ``_unite`` then records
-    those merges in one step for either form: their ids, their rule and an
-    unbuilt slot in the trace.  ``_root_of`` reads one root for either form,
-    and ``find()``, ``same_class()`` and ``classes()`` all go through it.
+    those merges in one step for either form: their ids, copied as they come
+    when the batch kept every pair, and the batch's rule and end.  ``_root_of`` reads one root for either form, and ``find()``,
+    ``same_class()`` and ``classes()`` all go through it.
     """
 
     def __init__(self, terms=()) -> None:
         self._terms = terms if isinstance(terms, _Terms) else _Terms(extra=terms)
         size = len(self._terms)
         self._parent = np.arange(size, dtype=np.int64) if size >= _ARRAY_TERMS else list(range(size))
-        self._rules: list[str] = []
-        self._lefts = array("q")
-        self._rights = array("q")
-        self.trace = _Trace(self._terms, self._rules, self._lefts, self._rights)
+        self.trace = _Trace(self._terms)
+        self._lefts, self._rights = self.trace._lefts, self.trace._rights
 
     def add(self, term: ProbTerm) -> None:
         """Bring in ``term`` as a class of its own, unless the store holds it already."""
@@ -750,7 +819,7 @@ class EqualityStore:
     def _id(self, term: ProbTerm) -> int:
         tid = self._terms.position(term)
         if tid is None:
-            raise UnknownTerm(str(term))
+            raise UnknownTerm(_named(term))
         return tid
 
     def _root_of(self, tid: int) -> int:
@@ -759,16 +828,14 @@ class EqualityStore:
 
     def _unite(self, rule: str, lefts, rights) -> int:
         """Union ``lefts[n]`` with ``rights[n]`` (flat ids) in order; record the effective ones."""
-        lefts = np.ravel(lefts).astype(np.int64, copy=False)
-        rights = np.ravel(rights).astype(np.int64, copy=False)
+        lefts, rights = np.ravel(lefts), np.ravel(rights)
         parent = self._parent
         unite = _union_in_order if isinstance(parent, list) else _spanning_forest
         kept = unite(parent, lefts, rights)
-        self._lefts.frombytes(lefts[kept].tobytes())
-        self._rights.frombytes(rights[kept].tobytes())
-        self._rules.extend([rule] * len(kept))
-        self.trace._items.extend([None] * len(kept))
-        return len(kept)
+        if len(kept) < lefts.size:
+            lefts, rights = lefts[kept], rights[kept]
+        self.trace._record(rule, lefts, rights)
+        return lefts.size
 
     def find(self, term: ProbTerm) -> ProbTerm:
         return self._terms[self._root_of(self._id(term))]
@@ -806,7 +873,7 @@ class EqualityStore:
                     came_from[other] = (node, n)
                     queue.append(other)
         if goal not in came_from:
-            raise UnknownTerm(f"no merge chain connects {left} and {right}")
+            raise UnknownTerm(f"no merge chain connects {_named(left)} and {_named(right)}")
         path: list[MergeRecord] = []
         node = goal
         while node != start:
@@ -843,7 +910,7 @@ def _exchanged(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _frames(
     exprs, dec: SchmidtDecomposition
-) -> tuple[tuple[StateExpr, ...], list[int | None], np.ndarray, np.ndarray]:
+) -> tuple[_Exprs, list[int | None], np.ndarray, np.ndarray]:
     """Each distinct expr's Schmidt-frame matrix as a permutation and a phase.
 
     The r x r matrix ``m`` of an expr (its state is ``S m E^T``) has one
@@ -869,14 +936,13 @@ def _frames(
     """
     exprs = _with_skeleton(exprs)
     skel = exprs.skeleton
-    every = exprs + skel.unlisted  # each row's expr
     r = dec.rank
     a, b = skel.ab
     bad = (a == b) | (a.view(np.uint64) >= r) | (b.view(np.uint64) >= r)  # a negative index wraps
     bad &= skel.kind // 2 == 0  # swaps only
     if bad.any():
         first = next(rows[bad[rows]][0] for _, rows in skel.groups if bad[rows].any())
-        t = every[first].transforms[-1]
+        t = exprs.row(first).transforms[-1]
         _check_swap(t.i, t.j)
         _check_indices((t.i, t.j), r)  # raises: the array test is its complement
     col = np.empty((skel.parent.size, r), dtype=int)
@@ -890,7 +956,7 @@ def _frames(
             col[rows], val[rows] = col[up], val[up]
             system = kind == 2
             for n in rows.tolist():
-                t = every[n].transforms[-1]
+                t = exprs.row(n).transforms[-1]
                 _check_phase(t.indices, t.betas)
                 _check_indices(t.indices, r)
                 for k, phase in zip(t.indices, np.exp(1j * np.array(t.betas, float))):

@@ -3,8 +3,11 @@
 All of these subclass :class:`ValueError` through a common base so callers
 can catch everything the toolkit raises with one clause, while the CLI can
 surface the specific class name in its error messages.  Messages name an
-int too long to print by its bit length (``_shown``).
+int too long to print by its bit length (``_shown``), and ``_integer`` reads
+an int argument through ``operator.index``.
 """
+
+from operator import index
 
 # Error messages name an int of more bits than this by its bit length: printing
 # one of more than 4,300 digits raises ``ValueError``, and a long one floods stderr.
@@ -22,6 +25,14 @@ def _shown(value, show=str) -> str:
     if _too_long(value):
         return f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
     return show(value)
+
+
+def _integer(value, what: str, error: type) -> int:
+    """``value`` as an int, as ``operator.index`` reads one; anything else raises ``error``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {type(value).__name__}") from None
 
 
 class EnvarkitError(ValueError):

@@ -14,12 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from operator import index
 
 import numpy as np
 
 from .derivation import EqualityStore, RuleSet, TermSet, generate_terms, numeric_probabilities, saturate
-from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch, _shown
+from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch, _integer, _shown
 from .schmidt import SchmidtDecomposition
 from .states import BipartiteState, make_state
 
@@ -155,10 +154,7 @@ def equal_branch_derivation(
     grain 3's entry.  ``cache_info``, ``cache_clear`` and ``__wrapped__``
     (the uncached run) are the cache's.
     """
-    try:
-        m_total = index(m_total)
-    except TypeError:
-        raise WeightMismatch(f"the grain must be an integer, got {type(m_total).__name__}") from None
+    m_total = _integer(m_total, "the grain", WeightMismatch)
     if m_total < 1:
         raise WeightMismatch(f"the grain must be at least 1, got {_shown(m_total)}")
     if m_total > MAX_GRAIN:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import isnan
-from operator import index
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, ParseError, _shown
+from .errors import DimensionMismatch, NotNormalized, ParseError, _integer, _shown
 from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal, _numeric_array
 
 AUDIT_TOL = 1e-9
@@ -57,14 +56,17 @@ def _haar_bases(dim: int, seeds) -> np.ndarray:
 
 
 def random_basis(dim: int, seed: int) -> BasisSample:
-    """Haar-distributed orthonormal basis from a seeded complex Gaussian."""
-    try:
-        dim = index(dim)
-    except TypeError:
-        raise DimensionMismatch(f"basis dimension must be an integer, got {type(dim).__name__}") from None
+    """Haar-distributed orthonormal basis from a seeded complex Gaussian.
+
+    ``dim`` and ``seed`` are read as ints (``operator.index``), and ``dim``
+    may not exceed ``MAX_AUDIT_DIM``, checked before anything is drawn.
+    """
+    dim = _integer(dim, "basis dimension", DimensionMismatch)
     if dim < 2:
         raise DimensionMismatch(f"basis dimension must be at least 2, got {_shown(dim)}")
-    _check_seed(seed)
+    if dim > MAX_AUDIT_DIM:
+        raise DimensionMismatch(f"basis dimension {_shown(dim)} exceeds bound {MAX_AUDIT_DIM}")
+    seed = _check_seed(seed)
     return BasisSample(_haar_bases(dim, [seed])[0], seed)
 
 
@@ -196,22 +198,29 @@ MAX_AUDIT_DIM = 64
 MAX_AUDIT_TRIALS = 1_000_000
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's default_rng rejects it with a bare ValueError
+def _check_seed(seed: int) -> int:
+    """The seed as an int; numpy's default_rng rejects a negative one with a bare ValueError."""
+    seed = _integer(seed, "seed", ParseError)
     if seed < 0:
-        raise ParseError(f"seed must be nonnegative, got {seed}")
+        raise ParseError(f"seed must be nonnegative, got {_shown(seed)}")
+    return seed
 
 
-def _check_audit_size(dim: int, trials: int, seed: int) -> None:
+def _check_audit_size(dim: int, trials: int, seed: int) -> tuple[int, int, int]:
+    """The audit's dimension, trial count and seed as ints, each within its bounds."""
+    dim = _integer(dim, "frame-function audit dimension", DimensionMismatch)
     if dim < 3:
         raise DimensionMismatch("frame-function audit requires dimension greater than two")
     if dim > MAX_AUDIT_DIM:
-        raise DimensionMismatch(f"frame-function audit dimension {dim} exceeds bound {MAX_AUDIT_DIM}")
+        raise DimensionMismatch(
+            f"frame-function audit dimension {_shown(dim)} exceeds bound {MAX_AUDIT_DIM}"
+        )
+    trials = _integer(trials, "trials", ParseError)
     if trials < 1:
         raise ParseError("trials must be at least 1")
     if trials > MAX_AUDIT_TRIALS:
-        raise ParseError(f"trials {trials} exceed bound {MAX_AUDIT_TRIALS}")
-    _check_seed(seed)
+        raise ParseError(f"trials {_shown(trials)} exceed bound {MAX_AUDIT_TRIALS}")
+    return dim, trials, _check_seed(seed)
 
 
 def audit(
@@ -228,7 +237,7 @@ def audit(
     its own ``default_rng(seed + t)``, so ``random_basis(dim, worst_basis_seed)``
     reproduces the worst basis, and a ``CustomFrame`` is called in serial order.
     """
-    _check_audit_size(dim, trials, seed)
+    dim, trials, seed = _check_audit_size(dim, trials, seed)
     _check_frame_dim(p, dim)
     devs: list[float] = []
     for start in range(seed, seed + trials, _AUDIT_CHUNK):

@@ -38,7 +38,9 @@ class SchmidtDecomposition:
     def __post_init__(self) -> None:
         lam = _numeric_array(self.coefficients, float, "coefficients")
         svecs = _numeric_array(self.system_vectors, complex, "system_vectors")
-        evecs = _numeric_array(self.env_vectors, complex, "env_vectors")
+        # one block given as both sides is converted and checked once, and shared
+        shared = self.env_vectors is self.system_vectors
+        evecs = svecs if shared else _numeric_array(self.env_vectors, complex, "env_vectors")
         if lam.ndim != 1 or lam.size == 0:
             raise DimensionMismatch("coefficients must be a nonempty 1-d array")
         r = lam.size
@@ -52,7 +54,8 @@ class SchmidtDecomposition:
         if not abs(float(np.add.reduce(lam**2)) - 1.0) <= 1e-9:
             raise NotNormalized("squared coefficients must sum to 1 within 1e-9")
         _check_orthonormal(svecs, 1e-9, "system_vectors")
-        _check_orthonormal(evecs, 1e-9, "env_vectors")
+        if not shared:
+            _check_orthonormal(evecs, 1e-9, "env_vectors")
         for name, arr in (("coefficients", lam), ("system_vectors", svecs), ("env_vectors", evecs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

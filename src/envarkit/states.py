@@ -70,12 +70,16 @@ def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _unit_amps(values, ndim: int, what: str) -> np.ndarray:
-    """Validated read-only amplitude array whose norm is 1 within ``NORM_TOL``."""
-    amps = _as_complex_array(values, ndim, what)
+def _check_unit(amps: np.ndarray) -> None:
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"state norm {norm:.17g} is not 1 within {NORM_TOL}")
+
+
+def _unit_amps(values, ndim: int, what: str) -> np.ndarray:
+    """Validated read-only amplitude array whose norm is 1 within ``NORM_TOL``."""
+    amps = _as_complex_array(values, ndim, what)
+    _check_unit(amps)
     return amps
 
 
@@ -157,16 +161,27 @@ def make_state(coeffs, normalize: bool = False) -> BipartiteState:
     Unnormalized input is rejected unless ``normalize=True``; silent
     rescaling hides bugs in callers that believe they built a unit vector.
 
+    Each array is converted and checked once: the state is built around the
+    checked array, without ``BipartiteState``'s own second pass.
+
     Raises:
         ZeroState: every coefficient is zero.
-        NotNormalized: ``normalize`` is off and the norm deviates from 1.
+        ParseError: ``normalize`` is on and the norm underflows to zero.
+        NotNormalized: the norm (after rescaling, if requested) deviates from 1.
     """
     amps = _as_complex_array(coeffs, 2, "coefficients")
     if not amps.any():
         raise ZeroState("all coefficients are zero")
     if normalize:
-        amps = amps / np.linalg.norm(amps)
-    return BipartiteState(amps)
+        norm = np.linalg.norm(amps)
+        if not norm > 0:  # every |amp|^2 underflows, so no rescaling reaches norm 1
+            raise ParseError("coefficients are too small to normalize: their norm underflows to zero")
+        amps = amps / norm
+        amps.setflags(write=False)
+    _check_unit(amps)
+    state = object.__new__(BipartiteState)
+    object.__setattr__(state, "amps", amps)
+    return state
 
 
 def apply_system(u: LocalUnitary, state: BipartiteState) -> BipartiteState:

@@ -10,6 +10,7 @@ from envarkit import (
     BipartiteState,
     DimensionMismatch,
     EnvarkitError,
+    EqualityStore,
     IndexOutOfRange,
     LocalUnitary,
     NonOrthonormalBasis,
@@ -23,6 +24,7 @@ from envarkit import (
     StateExpr,
     SystemSwap,
     TermSet,
+    UnknownTerm,
     audit,
     born_value,
     generate_terms,
@@ -98,6 +100,18 @@ CASES = {
     "power-huge-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), 10**5000)),
     "power-list-alpha": (ParseError, lambda: PowerOverlapFrame(np.array([1.0, 0.0]), [2.0])),
     "random-basis-string-dim": (DimensionMismatch, lambda: random_basis("3", 0)),
+    "random-basis-huge-dim": (DimensionMismatch, lambda: random_basis(10**5000, 0)),
+    "random-basis-dim-bound": (DimensionMismatch, lambda: random_basis(65, 0)),
+    "random-basis-float-seed": (ParseError, lambda: random_basis(3, 2.5)),
+    "random-basis-huge-negative-seed": (ParseError, lambda: random_basis(3, -(10**5000))),
+    "audit-float-dim": (DimensionMismatch, lambda: audit(FRAME, 3.0, 16, 0)),
+    "audit-huge-dim": (DimensionMismatch, lambda: audit(FRAME, 10**5000, 16, 0)),
+    "audit-float-trials": (ParseError, lambda: audit(FRAME, 3, 2.5, 0)),
+    "audit-none-trials": (ParseError, lambda: audit(FRAME, 3, None, 0)),
+    "audit-huge-trials": (ParseError, lambda: audit(FRAME, 3, 10**5000, 0)),
+    "audit-float-seed": (ParseError, lambda: audit(FRAME, 3, 16, 2.5)),
+    "store-find-huge-index": (UnknownTerm, lambda: EqualityStore().find(ProbTerm("S", 10**5000, StateExpr()))),
+    "state-norm-underflow": (ParseError, lambda: make_state([[1e-320, 0]], normalize=True)),
 }
 
 
@@ -132,6 +146,11 @@ HUGE = {
     "generate-terms": lambda: generate_terms(BELL, [(10**5000, 1)]),
     "prob-term": lambda: ProbTerm(10**5000, 1, StateExpr()),
     "random-basis": lambda: random_basis(-(10**5000), 0),
+    "random-basis-dim": lambda: random_basis(10**5000, 0),
+    "random-basis-seed": lambda: random_basis(3, -(10**5000)),
+    "audit-dim": lambda: audit(FRAME, 10**5000, 16, 0),
+    "audit-trials": lambda: audit(FRAME, 3, 10**5000, 0),
+    "store-find": lambda: EqualityStore().find(ProbTerm("S", 10**5000, StateExpr())),
 }
 
 

@@ -1,6 +1,7 @@
 """Time a cold equal-branch derivation stage by stage.
 
     PYTHONPATH=src python tools/engine_stages.py --grains 8 16 32 64 --rounds 40
+    PYTHONPATH=src python tools/engine_stages.py --grains 2 4 8 12 13 --array-terms 0 1000000000
 
 Each round runs one cold derivation of every grain, in a shuffled order, so
 the grains share the host's slow and fast spells.  A derivation is split
@@ -11,7 +12,11 @@ edges (``TermSet._edges``: frames, id map and every rule's pairs), a fresh
 store, each rule's ``_unite`` in ``saturate``'s order, and
 ``numeric_probabilities``.  Each stage is timed with ``time.thread_time``,
 on one CPU the process pins itself to, and the JSON printed gives, per grain
-and stage, the median and the quartiles in microseconds.
+and stage, the median and the quartiles in microseconds.  ``--array-terms``
+takes values for ``derivation._ARRAY_TERMS``, the store size from which the
+union-find takes its array form (0: every store takes it; a size above every
+store's: none does).  Each value is timed in every round, and with several
+values each grain is reported once per value, keyed ``M@N``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import time
 
 import numpy as np
 
-from envarkit import finegrain, schmidt
+from envarkit import derivation, finegrain, schmidt
 from envarkit.derivation import EqualityStore, RuleSet, generate_terms, numeric_probabilities
 
 
@@ -63,33 +68,43 @@ def main(argv=None) -> None:
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cpu", type=int, default=None, help="CPU to pin to (default: the last allowed)")
+    parser.add_argument(
+        "--array-terms", type=int, nargs="+", default=None,
+        help="store sizes from which the array form is taken, each timed in every round",
+    )
     args = parser.parse_args(argv)
     cpu = max(os.sched_getaffinity(0)) if args.cpu is None else args.cpu
     os.sched_setaffinity(0, {cpu})
     rng = random.Random(args.seed)
-    samples: dict[int, list[dict[str, float]]] = {m: [] for m in args.grains}
-    for m in args.grains:  # a warm-up derivation per grain, not recorded
+    thresholds = args.array_terms or [derivation._ARRAY_TERMS]
+    runs = [(n, m) for n in thresholds for m in args.grains]
+    samples: dict[tuple[int, int], list[dict[str, float]]] = {run: [] for run in runs}
+    for n, m in runs:  # a warm-up derivation per run, not recorded
+        derivation._ARRAY_TERMS = n
         derive_in_stages(m)
     for _ in range(args.rounds):
-        order = list(args.grains)
+        order = list(runs)
         rng.shuffle(order)
-        for m in order:
-            samples[m].append(derive_in_stages(m))
+        for n, m in order:
+            derivation._ARRAY_TERMS = n
+            samples[n, m].append(derive_in_stages(m))
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu": cpu,
         "rounds": args.rounds,
+        "array_terms": thresholds,
         "unit": "us",
         "grains": {},
     }
-    for m, runs in samples.items():
-        report["grains"][str(m)] = {
+    for (n, m), times in samples.items():
+        # with several thresholds, each grain is keyed "M@N"
+        report["grains"][str(m) if len(thresholds) == 1 else f"{m}@{n}"] = {
             name: {
-                q: round(float(np.percentile([run[name] for run in runs], p)) * 1e6, 1)
+                q: round(float(np.percentile([run[name] for run in times], p)) * 1e6, 1)
                 for q, p in (("p25", 25), ("median", 50), ("p75", 75))
             }
-            for name in runs[0]
+            for name in times[0]
         }
     print(json.dumps(report, indent=1))
 
