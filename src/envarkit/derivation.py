@@ -33,31 +33,32 @@ entry, and ``val[k]``, its value.  Swaps permute them and phases multiply
   in O(r).
 
 Every expr is its parent plus one tag, so a term set's exprs form a tree,
-and the engine keeps that tree as int arrays, the exprs' skeleton: per
-expr, its parent's row, its last tag's kind and a swap's two indices.
-``generate_terms`` computes the skeleton from its distinct swap pairs by
-index arithmetic, and lists its exprs as a lazy sequence that builds each
-``StateExpr``, in the skeleton's layout, on its first read; any other exprs
-take one pass that also gives a row to each prefix that is not listed.
-``_frames`` builds every frame from that skeleton one depth level at a
-time, each level a fixed number of array gathers and exchanges per tag
-kind, and checks every swap tag in one array test; the locality rules read
-their pairs off the same arrays.
+and the engine keeps that tree as int arrays in its ``_Exprs``: per expr,
+its parent's row, its last tag's kind and a swap's two indices.
+``generate_terms`` computes the tree from its distinct swap pairs by index
+arithmetic, and lists its exprs as a lazy sequence that builds each
+``StateExpr`` on its first read; any other exprs take one pass that also
+gives a row to each prefix that is not listed.  Each swap tag is checked
+once, as ``replay`` checks it: by ``generate_terms`` for its own swaps,
+else right after that pass.  ``_frames`` builds every frame from the tree
+one depth level at a time, each level a fixed number of array gathers and
+exchanges per tag kind; the locality rules read their pairs off the same
+arrays.
 
 The engine runs on structural ids, ``row * 2r + side * r + (k - 1)`` for
 branch k on side S (0) or E (1) of the row-th distinct expr, and the
 union-find and its merge record hold only those ints: two ids per merge
-and one rule entry per batch.  ``generate_terms`` returns its terms as a
-lazy sequence in that order, so its term sets need no mapping; a
-hand-built term set gets the same run on a store over its own terms, each
-structural id mapped once to its id there.  A ``generate_terms`` term set
-and its stores share one term sequence, which builds each ``ProbTerm``
-once, when a caller first reads it; a store builds each ``MergeRecord``
-once.  A lazy sequence keeps only the items built so far, so a cold
-derivation, which reads no expr but the base, no term and no record, holds
-arrays and a few objects per batch.  Its trace holds its term sequence and
-merge record, not the store, so no reference cycle keeps a dropped store
-alive, and a trace kept after its store still reads.
+and one rule entry per batch.  Every term set owns one term sequence, which
+all its stores share: ``generate_terms`` returns its terms as a lazy
+sequence in structural order, so its stores need no mapping and build each
+``ProbTerm`` once, when a caller first reads it; a hand-built term set's
+sequence holds its distinct terms, and each structural id is mapped once
+to a position there.  A store builds each ``MergeRecord`` once.  A lazy
+sequence keeps only the items built so far, so a cold derivation, which
+reads no expr but the base, no term and no record, holds arrays and a few
+objects per batch.  Its trace holds its term sequence and merge record,
+not the store, so no reference cycle keeps a dropped store alive, and a
+trace kept after its store still reads.
 
 Each term set finds its rule edges once: on its first saturation it works
 out its frames, its id map and every merging rule's pairs of store ids, and
@@ -199,7 +200,13 @@ class ProbTerm:
 
 def _named(term: ProbTerm) -> str:
     """``str(term)`` for an error message: an index too long to print is named by its bit length."""
-    return f"p({term.subsystem}:{_shown(term.index)}; {term.state})"
+    state = term.state
+    if isinstance(state, StateExpr):  # each tag's indices as ``_shown`` names them
+        tags = (replace(t, i=_shown(t.i), j=_shown(t.j)) if isinstance(t, _KINDS[:2])  # a swap
+                else replace(t, indices=tuple(map(_shown, t.indices))) if isinstance(t, _KINDS[2:]) else t
+                for t in state.transforms)
+        state = replace(state, transforms=tuple(tags))
+    return f"p({term.subsystem}:{_shown(term.index)}; {state})"
 
 
 @dataclass(frozen=True)
@@ -367,54 +374,47 @@ class _Terms(_Lazy):
         side = "SE".index(term.subsystem)
         return (2 * row + side) * self.rank + branches.index(term.index)
 
+    def _id(self, term: ProbTerm) -> int:
+        """Item number of ``term``; one that is not an item raises ``UnknownTerm``."""
+        n = self.position(term)
+        if n is None:
+            raise UnknownTerm(_named(term))
+        return n
+
 
 # ---------------------------------------------------------------------------
-# Expr skeletons
+# Exprs as a tree of int arrays
 # ---------------------------------------------------------------------------
 
-# Tag classes, numbered as a skeleton's ``kind`` numbers them: system tags are even
+# Tag classes, numbered as ``_Exprs.kind`` numbers them: swaps first, system tags even
 _KINDS = (SystemSwap, EnvSwap, SystemPhase, EnvPhase)
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    """Exprs as a tree of int arrays: row ``n`` is row ``parent[n]`` plus one tag.
-
-    A row whose ``parent`` is -1 is a bare base.  ``kind[n]`` numbers the
-    tag's class in ``_KINDS`` (-1 for a base), and ``ab[:, n]`` holds a
-    swap's two indices, counted from 0 (-1s for a phase or a base); a swap
-    index that is not an int within int64 is held as -1, which no range
-    test passes.  ``groups`` pairs a kind with the rows of one tag count
-    that carry it, by tag count, so every row's parent lies in an earlier
-    group.  The listed exprs own the first rows; ``unlisted`` holds the
-    exprs of the rows after them, each a prefix of a listed expr that is
-    not listed.
-    """
-
-    parent: np.ndarray
-    kind: np.ndarray
-    ab: np.ndarray
-    groups: list[tuple[int, np.ndarray]]
-    unlisted: tuple[StateExpr, ...] = ()
-
-
 class _Exprs(_Lazy):
-    """Distinct exprs, in order, that own the first rows of ``skeleton``; read as a tuple.
+    """Distinct exprs, in order, over their tree of int arrays; read as a tuple.
 
-    ``generate_terms``' exprs are built on first read, in the skeleton's
-    layout: row 0 is the base, and pair ``p`` of ``pairs`` owns rows
-    ``2p + 1`` (its system swap) and ``2p + 2`` (that row plus the
-    environment counterswap).  Other exprs (``_with_skeleton``) come built.
-    A slice is a tuple.
+    Row ``n`` of the tree is row ``parent[n]`` plus one tag; a row whose
+    ``parent`` is -1 is a bare base.  ``kind[n]`` numbers the tag's class in
+    ``_KINDS`` (-1 for a base), and ``ab[:, n]`` holds a swap's two indices,
+    counted from 0 and already checked (0s for a phase or a base).
+    ``groups`` pairs a kind with the rows of one tag count that carry it, by
+    tag count, so every row's parent lies in an earlier group.  The listed
+    exprs own the first rows; ``unlisted`` holds the exprs of the rows after
+    them, each a prefix of a listed expr that is not listed.
+
+    ``generate_terms``' exprs are built on first read: row 0 is the base,
+    and pair ``p`` of ``pairs`` owns rows ``2p + 1`` (its system swap) and
+    ``2p + 2`` (that row plus the environment counterswap).  Other exprs
+    (``_with_skeleton``) come built.  A slice is a tuple.
     """
 
     _slice = tuple
 
-    def __init__(self, skeleton: _Skeleton, built: Sequence[StateExpr] = (), pairs=()) -> None:
-        self.skeleton = skeleton
-        self._pairs = pairs
+    def __init__(self, parent, kind, ab, groups, built=(), pairs=(), unlisted=()) -> None:
+        self.parent, self.kind, self.ab, self.groups = parent, kind, ab, groups
+        self.unlisted, self._pairs = unlisted, pairs
         self._built: dict[int, StateExpr] = dict(enumerate(built))
-        self._size = skeleton.parent.size - len(skeleton.unlisted)
+        self._size = parent.size - len(unlisted)
 
     def _make(self, n: int) -> StateExpr:
         if n == 0:
@@ -425,60 +425,50 @@ class _Exprs(_Lazy):
         return self[n - 1].then(EnvSwap(i, j))
 
     def row(self, n: int) -> StateExpr:
-        """The expr of skeleton row ``n``, listed or not."""
-        return self[n] if n < self._size else self.skeleton.unlisted[n - self._size]
+        """The expr of row ``n``, listed or not."""
+        return self[n] if n < self._size else self.unlisted[n - self._size]
 
 
-def _skeleton(columns, unlisted: tuple[StateExpr, ...] = ()) -> _Skeleton:
-    """The skeleton whose row ``n`` is ``columns[n]``: its parent's row, its
-    tag's kind, its number of tags and a swap's two indices."""
-    flat = np.fromiter(chain.from_iterable(columns), np.int64, 5 * len(columns)).reshape(-1, 5)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for n, (_, kind, depth, _, _) in enumerate(columns):
-        groups.setdefault((depth, kind), []).append(n)
-    groups = [(kind, np.array(rows)) for (_, kind), rows in sorted(groups.items())]
-    return _Skeleton(flat[:, 0], flat[:, 1], flat[:, 3:].T - 1, groups, unlisted)
+def _with_skeleton(exprs, r: int) -> _Exprs:
+    """The distinct exprs, in first-occurrence order, as an ``_Exprs`` whose swaps fit rank ``r``.
 
-
-def _int64(n) -> int:
-    """``n`` as an int if ``operator.index`` reads it as one within int64, else 0."""
-    try:
-        n = index(n)
-    except TypeError:
-        return 0
-    return n if -(2**63) < n < 2**63 else 0
-
-
-def _with_skeleton(exprs) -> _Exprs:
-    """The distinct exprs, in first-occurrence order, with their skeleton.
-
-    An ``_Exprs`` comes back as it is.  Other exprs take one pass that gives
-    each distinct expr a row, in order, and each prefix that is not listed a
-    row after them, as the pass first needs it.  A tag of no ``_KINDS``
-    class raises ``TypeError``.
+    An ``_Exprs`` whose swap indices all lie below ``r`` comes back as it
+    is: ``generate_terms`` checked each of its swaps.  Other exprs take one
+    pass that gives each distinct expr a row, in order, and each prefix that
+    is not listed a row after them, as the pass first needs it, and puts
+    each row in its group; a tag of no ``_KINDS`` class raises
+    ``TypeError``.  Then each swap tag is checked by ``_check_swap`` and
+    ``_check_indices``, as ``replay`` checks it, in group order, so the
+    first malformed one raises what ``replay`` raises for it.
     """
-    if isinstance(exprs, _Exprs):
+    if isinstance(exprs, _Exprs) and exprs.ab.max(initial=0) < r:
         return exprs
-    rows: dict[StateExpr, int] = {}
-    for expr in exprs:
-        rows.setdefault(expr, len(rows))
+    rows = {expr: n for n, expr in enumerate(dict.fromkeys(exprs))}
     listed = len(rows)
     every = list(rows)  # the pass appends each unlisted prefix it meets
-    columns = []  # parent, kind, depth, i, j of each row
-    for expr in every:
-        if not expr.transforms:
-            columns.append((-1, -1, 0, 0, 0))
-            continue
-        up = expr.parent()
-        if rows.setdefault(up, len(every)) == len(every):
-            every.append(up)
-        tag = expr.transforms[-1]
-        kind = next((k for k, cls in enumerate(_KINDS) if isinstance(tag, cls)), None)
-        if kind is None:
-            raise TypeError(f"unknown transform tag {tag!r}")
-        i, j = (_int64(tag.i), _int64(tag.j)) if kind < 2 else (0, 0)
-        columns.append((rows[up], kind, len(expr.transforms), i, j))
-    return _Exprs(_skeleton(columns, tuple(every[listed:])), every[:listed])
+    columns = []  # parent and kind of each row
+    groups: dict[tuple[int, int], list[int]] = {}  # rows by tag count and kind
+    for n, expr in enumerate(every):
+        up = kind = -1
+        if expr.transforms:
+            up = expr.parent()
+            if rows.setdefault(up, len(every)) == len(every):
+                every.append(up)
+            up, tag = rows[up], expr.transforms[-1]
+            kind = next((k for k, cls in enumerate(_KINDS) if isinstance(tag, cls)), None)
+            if kind is None:
+                raise TypeError(f"unknown transform tag {tag!r}")
+        columns.append((up, kind))
+        groups.setdefault((len(expr.transforms), kind), []).append(n)
+    groups = [(kind, np.array(group)) for (_, kind), group in sorted(groups.items())]
+    ab = np.zeros((2, len(every)), dtype=int)
+    for n in chain.from_iterable(group for kind, group in groups if kind in (0, 1)):
+        t = every[n].transforms[-1]
+        _check_swap(t.i, t.j)
+        _check_indices((t.i, t.j), r)
+        ab[:, n] = index(t.i) - 1, index(t.j) - 1
+    parent, kind = np.array(columns, dtype=int).reshape(-1, 2).T
+    return _Exprs(parent, kind, ab, groups, every[:listed], unlisted=tuple(every[listed:]))
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +492,12 @@ class TermSet:
         return len(self.terms)
 
     @cached_property
+    def _terms(self) -> _Terms:
+        """The one term sequence every store of this set shares: ``generate_terms``'
+        lazy terms, else one over the set's distinct terms, in order."""
+        return self.terms if isinstance(self.terms, _Terms) else _Terms(extra=self.terms)
+
+    @cached_property
     def _edges(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Each merging rule's ``(lefts, rights)`` int32 arrays of store ids, found once.
 
@@ -514,7 +510,7 @@ class TermSet:
         For ``generate_terms``' lazy terms those are the store's ids; a
         hand-built term set (any other terms) must hold every structural
         term, else ``UnknownTerm`` names the first one missing, and each
-        structural id is mapped once to the store's id for its term.
+        structural id is mapped once to its term's position in ``_terms``.
 
         * ``PAIRING`` pairs ``S:k`` with ``E:col[k]``.  Each row of a frame
           matrix holds one nonzero entry, so every system branch has exactly
@@ -528,15 +524,15 @@ class TermSet:
         """
         exprs, _, col, val = _frames(self.exprs, self.decomposition)
         r = col.shape[1]
-        terms = self.terms
-        if isinstance(terms, _Terms) and terms.exprs == self.exprs and terms.rank == r:
-            ids = np.arange(len(exprs) * 2 * r, dtype=np.int32)  # the store's terms are the structural ones
+        terms = self._terms
+        if terms.rank == r and terms.exprs == self.exprs:
+            ids = np.arange(len(exprs) * 2 * r, dtype=np.int32)  # the set's terms are the structural ones
         else:
-            store = EqualityStore(terms)
-            ids = np.array([store._id(term) for term in _Terms(exprs, r)], dtype=np.int32)
+            structural = (ProbTerm(x, k, expr) for expr in exprs for x in "SE" for k in range(1, r + 1))
+            ids = np.array([terms._id(term) for term in structural], dtype=np.int32)
         ids = ids.reshape(len(exprs), 2, r)  # ids[row, side, k - 1]
         edges = {"PAIRING": (ids[:, 0], ids[np.arange(len(exprs))[:, None], 1, col])}
-        up, kind = exprs.skeleton.parent[: len(exprs)], exprs.skeleton.kind[: len(exprs)]
+        up, kind = exprs.parent[: len(exprs)], exprs.kind[: len(exprs)]
         listed = (up >= 0) & (up < len(exprs))
         for rule, side, sub in (("ENV_LOCALITY", 0, 1), ("SYS_LOCALITY", 1, 0)):
             children = (listed & (kind % 2 == side)).nonzero()[0]  # tags of that side
@@ -559,10 +555,10 @@ def generate_terms(
     so a repeated swap adds no expr and no terms; terms cover both
     subsystems and every branch at each stop, in structural order (``S``
     then ``E``, branches ascending, per expr).  The exprs are an ``_Exprs``,
-    a lazy sequence that reads as a tuple, over their skeleton: the base,
-    then each distinct pair's two stops, computed from the pairs by index
-    arithmetic.  ``_frames`` builds the frames from the skeleton, and each
-    ``StateExpr`` is built on its first read.
+    a lazy sequence that reads as a tuple, over their tree of rows: the
+    base, then each distinct pair's two stops, computed from the pairs by
+    index arithmetic.  ``_frames`` builds the frames from that tree, and
+    each ``StateExpr`` is built on its first read.
     Swapped branches must carry equal coefficients, otherwise swapping has
     no claim to preserve the probability bookkeeping.  Equal means in one
     ``degeneracy_blocks`` block, the test ``check_envariance`` applies; a
@@ -598,10 +594,10 @@ def generate_terms(
     parent[1::2] = 0
     kind = 1 - np.arange(size) % 2
     kind[0] = -1
-    ab = np.full((2, size), -1)
+    ab = np.zeros((2, size), dtype=int)
     ab[:, 1::2] = ab[:, 2::2] = np.array(pairs, dtype=np.int64).reshape(-1, 2).T - 1
     groups = [(-1, np.zeros(1, dtype=int)), (0, np.arange(1, size, 2)), (1, np.arange(2, size, 2))]
-    exprs = _Exprs(_Skeleton(parent, kind, ab, groups), pairs=pairs)
+    exprs = _Exprs(parent, kind, ab, groups, pairs=pairs)
     return TermSet(_Terms(exprs, r), exprs, tuple(range(1, r + 1)), state, dec)
 
 
@@ -770,20 +766,20 @@ class EqualityStore:
     graph is a forest (paths between terms are unique).  Terms are ids in
     insertion order and every class is rooted at its smallest id, the term
     added earliest.  The store keeps one lazy term sequence: the one it is
-    built from if that is ``generate_terms``' (so a term set and its stores
-    share their terms and build each ``ProbTerm`` once), else one over the
-    distinct terms it is built from.  ``add`` replaces the store's sequence,
-    and its trace's, with a copy that also holds the new term, so the term
-    set's never changes; that copies the terms built so far, O(n) at most,
-    as the array form's ``add`` already copies its parent array.  A
-    structural term is looked up by position without being built, any other
-    by a dict.  The union-find and the merge record (each merge's
-    two ids, and each batch's rule) hold ids only: ``trace``, ``classes()``,
-    ``find()`` and ``minimal_trace()`` build each ``ProbTerm`` and
-    ``MergeRecord`` they return once, on first read.  ``trace`` holds the
-    term sequence and the merge record, never the store: the store is
-    freed as soon as its last reference goes, and a trace kept after it
-    still reads.
+    built from if that is a ``_Terms`` (``saturate`` hands over its term
+    set's, so a term set and its stores share their terms and build each
+    ``ProbTerm`` once), else one over the distinct terms it is built from.
+    ``add`` replaces the store's sequence, and its trace's, with a copy that
+    also holds the new term, so the term set's never changes; that copies
+    the terms built so far, O(n) at most, as the array form's ``add``
+    already copies its parent array.  A structural term is looked up by
+    position without being built, any other by a dict.  The union-find and
+    the merge record (each merge's two ids, and each batch's rule) hold ids
+    only: ``trace``, ``classes()``, ``find()`` and ``minimal_trace()``
+    build each ``ProbTerm`` and ``MergeRecord`` they return once, on first
+    read.  ``trace`` holds the term sequence and the merge record, never the
+    store: the store is freed as soon as its last reference goes, and a
+    trace kept after it still reads.
 
     The union-find takes one of two forms, fixed when the store is built.
     A store of fewer than ``_ARRAY_TERMS`` terms keeps a parent list and
@@ -795,7 +791,8 @@ class EqualityStore:
     partition and return the positions of the pairs they kept: the same
     merges, in the same order, with the same roots.  ``_unite`` then records
     those merges in one step for either form: their ids, copied as they come
-    when the batch kept every pair, and the batch's rule and end.  ``_root_of`` reads one root for either form, and ``find()``,
+    when the batch kept every pair, and the batch's rule and end.
+    ``_root_of`` reads one root for either form, and ``find()``,
     ``same_class()`` and ``classes()`` all go through it.
     """
 
@@ -817,10 +814,7 @@ class EqualityStore:
                 self._parent = np.append(self._parent, n)
 
     def _id(self, term: ProbTerm) -> int:
-        tid = self._terms.position(term)
-        if tid is None:
-            raise UnknownTerm(_named(term))
-        return tid
+        return self._terms._id(term)
 
     def _root_of(self, tid: int) -> int:
         parent = self._parent
@@ -920,56 +914,44 @@ def _frames(
     environment swap exchanges two columns, and a phase multiplies ``val``.
 
     Every expr is its parent plus one tag, so the frames are built from the
-    exprs' skeleton (``_with_skeleton``: ``generate_terms`` hands over its
-    own, and other exprs take one pass), one group of rows at a time, each
-    group one tag count and one tag kind, fewer tags first.  A group of
-    system swaps gathers its parents' frames with rows ``a`` and ``b``
-    exchanged; a group of environment swaps gathers them and exchanges the
-    labels ``a`` and ``b`` in ``col``: a fixed number of array operations
-    per group.  Every swap tag is checked first, in one array test of range
-    and distinctness, and only a bad one is handed to ``_check_swap`` and
-    ``_check_indices``, the first in group order, so a malformed tag raises
-    what ``replay`` raises for it.  Each phase tag is checked and applied on
-    its own.  Returns the distinct exprs in first-occurrence order (with
-    their skeleton), each one's parent row (``None`` for a base or an
-    unlisted parent), ``col`` and ``val``.
+    exprs' tree of rows (``_with_skeleton``: ``generate_terms`` hands over
+    its own, and other exprs take one pass, which also checks their swap
+    tags), one group of rows at a time, each group one tag count and one
+    tag kind, fewer tags first.  A group of system swaps gathers its
+    parents' frames with rows ``a`` and ``b`` exchanged; a group of
+    environment swaps gathers them and exchanges the labels ``a`` and ``b``
+    in ``col``: a fixed number of array operations per group.  Each phase
+    tag is checked, as ``replay`` checks it, and applied on its own.
+    Returns the distinct exprs in first-occurrence order (an ``_Exprs``),
+    each one's parent row (``None`` for a base or an unlisted parent),
+    ``col`` and ``val``.
     """
-    exprs = _with_skeleton(exprs)
-    skel = exprs.skeleton
     r = dec.rank
-    a, b = skel.ab
-    bad = (a == b) | (a.view(np.uint64) >= r) | (b.view(np.uint64) >= r)  # a negative index wraps
-    bad &= skel.kind // 2 == 0  # swaps only
-    if bad.any():
-        first = next(rows[bad[rows]][0] for _, rows in skel.groups if bad[rows].any())
-        t = exprs.row(first).transforms[-1]
-        _check_swap(t.i, t.j)
-        _check_indices((t.i, t.j), r)  # raises: the array test is its complement
-    col = np.empty((skel.parent.size, r), dtype=int)
-    val = np.empty((skel.parent.size, r), dtype=complex)
-    for kind, rows in skel.groups:
+    exprs = _with_skeleton(exprs, r)
+    col = np.empty((exprs.parent.size, r), dtype=int)
+    val = np.empty((exprs.parent.size, r), dtype=complex)
+    for kind, rows in exprs.groups:
         if kind < 0:
             col[rows], val[rows] = np.arange(r), dec.coefficients
             continue
-        up = skel.parent[rows]
+        up = exprs.parent[rows]
         if kind >= 2:
             col[rows], val[rows] = col[up], val[up]
-            system = kind == 2
             for n in rows.tolist():
                 t = exprs.row(n).transforms[-1]
                 _check_phase(t.indices, t.betas)
                 _check_indices(t.indices, r)
                 for k, phase in zip(t.indices, np.exp(1j * np.array(t.betas, float))):
-                    val[n, k - 1 if system else col[n].tolist().index(k - 1)] *= phase
+                    val[n, k - 1 if kind == 2 else col[n].tolist().index(k - 1)] *= phase
             continue
-        a, b = skel.ab[:, rows]
+        a, b = exprs.ab[:, rows]
         if kind == 0:  # the parent's rows a and b change places
             up = up[:, None], _exchanged(np.arange(r), a, b)
             col[rows], val[rows] = col[up], val[up]
         else:  # its columns a and b change places, so their labels do
             col[rows], val[rows] = _exchanged(col[up], a, b), val[up]
     listed = len(exprs)
-    parents = [up if 0 <= up < listed else None for up in skel.parent[:listed].tolist()]
+    parents = [up if 0 <= up < listed else None for up in exprs.parent[:listed].tolist()]
     return exprs, parents, col[:listed], val[:listed]
 
 
@@ -981,13 +963,15 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
     order, and a pair whose exprs are already linked through earlier pairs is
     skipped.  The norm of ``m_i - m_j`` is read off the frames in O(r): a row
     whose entries share a column adds ``|v_i - v_j|^2``, any other row
-    ``|v_i|^2 + |v_j|^2``.  Each first expr's unlinked partners are
-    norm-tested in one array pass, then linked in order; the tests have no
-    side effects, so testing a partner that an earlier link of the same
-    expr reaches changes nothing, and a partner joins when it is the first of
-    its link class to pass.  An expr whose frame equals, entry for entry,
-    that of the lowest expr of equal projection takes no turn: that expr
-    linked it and tested every partner it would test, with the same bits.
+    ``|v_i|^2 + |v_j|^2``.  The exprs are linked by ``_union_in_order`` on
+    a parent list.  Each first expr's later partners that are not linked to
+    it yet are norm-tested in one array pass, and those that pass are
+    linked to it in order: the union keeps the first of each link class to
+    pass.  Skipping the linked partners changes no pair, only the work: on
+    small drawn states most turns would test only linked partners.  An expr
+    whose frame equals, entry for entry, that of the lowest expr of equal
+    projection takes no turn: that expr linked it and tested every partner
+    it would test, with the same bits.
     """
     count, r = col.shape
     size = r * r
@@ -1004,28 +988,21 @@ def _state_function_pairs(col: np.ndarray, val: np.ndarray) -> list[tuple[int, i
     lowest = order[ranked.searchsorted(sigma[turns], side="left")]  # of equal projection
     copies = (lowest != turns) & (col[turns] == col[lowest]).all(axis=1)
     copies &= (val[turns] == val[lowest]).all(axis=1)
-    link = np.arange(count)  # a label per expr, shared by linked exprs
+    link = list(range(count))  # a union-find parent list over the exprs
     pairs = []
     for i in turns[~copies].tolist():
-        partners = order[start[i] : stop[i]]
-        partners = partners[(partners > i) & (link[partners] != link[i])]
+        root = _root(link, i)  # a later partner linked to i already takes no norm test
+        partners = np.sort([j for j in order[start[i] : stop[i]].tolist() if j > i and _root(link, j) != root])
         if not partners.size:
             continue
-        partners.sort()
         rows = np.where(
             col[partners] == col[i],
             abs(val[i] - val[partners]) ** 2,
             abs(val[i]) ** 2 + abs(val[partners]) ** 2,
         )
         passed = partners[np.sqrt(rows.sum(axis=1)) <= STATE_EQ_TOL]
-        labels = link[passed]
-        joined: dict[int, int] = {}  # each link class's first partner to pass
-        for j, label in zip(passed.tolist(), labels.tolist()):
-            joined.setdefault(label, j)
-        pairs += [(i, j) for j in joined.values()]
-        hit = np.zeros(count, dtype=bool)
-        hit[labels] = True
-        link[hit[link]] = link[i]
+        kept = _union_in_order(link, np.full(passed.size, i), passed)
+        pairs += [(i, j) for j in passed[kept].tolist()]
     return pairs
 
 
@@ -1036,15 +1013,16 @@ def saturate(term_set: TermSet, rules: RuleSet) -> EqualityStore:
     the current partition, so a single deterministic sweep saturates.  The
     term set finds every merging rule's edges once, on its first
     saturation, and keeps them (``TermSet._edges``); so its terms must not
-    change after that.  Each call builds a store over the term set's own
-    terms and unites each enabled rule's edges as one batch, in
-    ``RULE_NAMES`` order.  Whether a union changes the partition does not
-    depend on the ids, so the trace is the same under any mapping of
-    structural ids to store ids, and each root is the earliest-added term in
-    the term set's order.  The edges are read even when every rule is off,
-    so a malformed tag or a missing term raises whatever the rule set.
+    change after that.  Each call builds a store over the term set's one
+    term sequence (``TermSet._terms``), which every call shares, and unites
+    each enabled rule's edges as one batch, in ``RULE_NAMES`` order.
+    Whether a union changes the partition does not depend on the ids, so the
+    trace is the same under any mapping of structural ids to store ids, and
+    each root is the earliest-added term in the term set's order.  The
+    edges are read even when every rule is off, so a malformed tag or a
+    missing term raises whatever the rule set.
     """
-    store = EqualityStore(term_set.terms)
+    store = EqualityStore(term_set._terms)
     for rule, (lefts, rights) in term_set._edges.items():
         if getattr(rules, rule.lower()):
             store._unite(rule, lefts, rights)

@@ -29,21 +29,26 @@ MAX_GRAIN = 1000
 
 @dataclass(frozen=True)
 class RationalWeights:
-    """Branch weights ``m_k / M`` with the grain M kept un-reduced."""
+    """Branch weights ``m_k / M`` with the grain M kept un-reduced.
+
+    Each numerator and the denominator must be an int as ``operator.index``
+    reads one; a float, a string or anything else raises ``WeightMismatch``.
+    """
 
     numerators: tuple[int, ...]
     denominator: int
 
     def __post_init__(self) -> None:
-        ms = tuple(int(m) for m in self.numerators)
+        ms = tuple(_integer(m, "a numerator", WeightMismatch) for m in self.numerators)
+        denominator = _integer(self.denominator, "the denominator", WeightMismatch)
         if not ms or any(m <= 0 for m in ms):
             raise WeightMismatch(f"numerators must be positive integers, got {_shown(self.numerators)}")
-        if sum(ms) != int(self.denominator):
+        if sum(ms) != denominator:
             raise WeightMismatch(
-                f"numerators sum to {_shown(sum(ms))} but denominator is {_shown(self.denominator)}"
+                f"numerators sum to {_shown(sum(ms))} but denominator is {_shown(denominator)}"
             )
         object.__setattr__(self, "numerators", ms)
-        object.__setattr__(self, "denominator", int(self.denominator))
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def fractions(self) -> tuple[Fraction, ...]:
@@ -75,9 +80,15 @@ def rationalize(weights, tol: float = 1e-9, max_den: int = MAX_GRAIN) -> Rationa
     denominator (continued-fraction convergents via
     ``Fraction.limit_denominator``); the approximants must share a
     denominator within the bound, reproduce every weight within ``tol``,
-    and sum to one, otherwise ``NoRationalFit`` is raised.
+    and sum to one, otherwise ``NoRationalFit`` is raised.  Weights that are
+    not a sequence of real numbers raise ``WeightMismatch``.
     """
-    ws = [float(w) for w in weights]
+    try:
+        ws = [float(w) for w in weights]
+    except (TypeError, ValueError, OverflowError):
+        raise WeightMismatch(
+            f"weights must be a sequence of real numbers, got {_shown(weights, repr)}"
+        ) from None
     if not ws or not all(0 < w < float("inf") for w in ws):
         raise WeightMismatch(f"weights must be positive and finite, got {weights}")
     if abs(sum(ws) - 1.0) > tol:

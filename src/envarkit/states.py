@@ -164,6 +164,10 @@ def make_state(coeffs, normalize: bool = False) -> BipartiteState:
     Each array is converted and checked once: the state is built around the
     checked array, without ``BipartiteState``'s own second pass.
 
+    A norm that overflows is found again after dividing by the largest
+    real or imaginary part, so huge coefficients normalize too; every other
+    state is divided by its norm alone.
+
     Raises:
         ZeroState: every coefficient is zero.
         ParseError: ``normalize`` is on and the norm underflows to zero.
@@ -173,7 +177,11 @@ def make_state(coeffs, normalize: bool = False) -> BipartiteState:
     if not amps.any():
         raise ZeroState("all coefficients are zero")
     if normalize:
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if norm == np.inf:  # some |amp|^2 overflows: rescale by the largest real or imaginary part first
+            amps = amps / abs(amps.view(float)).max()
+            norm = np.linalg.norm(amps)
         if not norm > 0:  # every |amp|^2 underflows, so no rescaling reaches norm 1
             raise ParseError("coefficients are too small to normalize: their norm underflows to zero")
         amps = amps / norm

@@ -7,9 +7,14 @@
   instead of calling ``schmidt``; the store must not tell the difference.
 * A batch in which every edge has an end no other edge touches skips the
   Boruvka rounds; it must keep what a union in order keeps.
+* Hand-built exprs have each swap tag checked once, in (tag count, kind,
+  row) order, and a hand-built term set's stores share one term sequence.
 """
 
 from __future__ import annotations
+
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,12 +23,16 @@ from hypothesis import strategies as st
 
 from envarkit import (
     EnvarkitError,
+    EnvPhase,
     EnvSwap,
+    EqualityStore,
     ProbTerm,
     RuleSet,
     StateExpr,
+    SystemPhase,
     SystemSwap,
     TermSet,
+    derivation,
     generate_terms,
     make_state,
     numeric_probabilities,
@@ -169,3 +178,87 @@ def test_a_batch_of_edges_with_ends_of_their_own_keeps_every_edge(name, array):
         assert list(store._lefts[before:]) == lefts[kept].tolist()
     assert kept == list(range(len(batch)))
     assert [store._root_of(t) for t in range(size)] == [_root(parent, t) for t in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# One check per swap tag, one term sequence per term set
+# ---------------------------------------------------------------------------
+
+GOOD_TAGS = [SystemSwap(1, 2), EnvSwap(2, 3), SystemPhase((1,), (0.3,)), EnvPhase((3,), (-0.7,))]
+BAD_SWAPS = [
+    SystemSwap(0, 1), EnvSwap(1, 4), SystemSwap(2, 2), EnvSwap(3, 3),
+    SystemSwap(1.5, 2), EnvSwap(2, 10**5000), SystemSwap(-1, 2),
+]
+SWAP_KIND = {SystemSwap: 0, EnvSwap: 1}
+
+
+@st.composite
+def malformed_exprs(draw):
+    """An expr of up to three good tags and then a malformed swap, and whether its parent is listed."""
+    good = StateExpr(tuple(draw(st.lists(st.sampled_from(GOOD_TAGS), max_size=3))))
+    return good.then(draw(st.sampled_from(BAD_SWAPS))), draw(st.booleans())
+
+
+def pass_order(exprs) -> list[StateExpr]:
+    """Distinct exprs in the order they get rows: the listed ones, then each
+    unlisted prefix as a row's parent first needs it."""
+    rows = list(dict.fromkeys(exprs))
+    for expr in rows:
+        if expr.transforms and expr.parent() not in rows:
+            rows.append(expr.parent())
+    return rows
+
+
+@given(st.lists(malformed_exprs(), min_size=1, max_size=2), st.integers(0, 10**6))
+@example([(StateExpr((SystemSwap(1, 2), SystemSwap(2, 2))), False), (StateExpr((EnvSwap(1, 4),)), True)], 0)
+@example([(StateExpr((EnvSwap(3, 3),)), True), (StateExpr((SystemSwap(0, 1),)), False)], 0)
+@settings(max_examples=80, deadline=None)
+def test_the_first_malformed_swap_in_group_order_raises_what_replay_raises(drawn, seed):
+    state = spectrum_state([1.0, 1.0, 1.0], seed_s=3, seed_e=4, dim_e=5)
+    base = generate_terms(state, [(1, 2)])
+    exprs = list(base.exprs)
+    for expr, parent_listed in drawn:
+        exprs += [expr, expr.parent()] if parent_listed else [expr]
+    random.Random(seed).shuffle(exprs)
+    rows = pass_order(exprs)
+    bad = [expr for expr, _ in drawn]
+    first = min(bad, key=lambda e: (len(e.transforms), SWAP_KIND[type(e.transforms[-1])], rows.index(e)))
+    with pytest.raises(EnvarkitError) as dense:
+        replay(first, state, base.decomposition)
+    terms = tuple(ProbTerm(x, k, expr) for expr in rows[: len(set(exprs))] for x in "SE" for k in base.branches)
+    term_set = TermSet(terms, tuple(exprs), base.branches, state, base.decomposition)
+    with pytest.raises(EnvarkitError) as engine:
+        saturate(term_set, RuleSet())
+    assert type(engine.value) is type(dense.value)
+    assert str(engine.value) == str(dense.value)
+
+
+def test_generated_exprs_under_a_smaller_rank_are_checked_as_listed_exprs():
+    big = generate_terms(spectrum_state([1.0] * 4, seed_s=1, seed_e=2), [(1, 2), (3, 4)])
+    state = spectrum_state([1.0] * 3, seed_s=3, seed_e=4)
+    dec = schmidt(state)
+    with pytest.raises(EnvarkitError) as dense:
+        replay(big.exprs[3], state, dec)
+    with pytest.raises(EnvarkitError) as engine:
+        saturate(TermSet(big.terms, big.exprs, (1, 2, 3), state, dec), RuleSet())
+    assert type(engine.value) is type(dense.value)
+    assert str(engine.value) == str(dense.value) == "index 4 outside 1..3"
+
+
+def test_saturating_a_hand_built_set_three_times_builds_one_term_sequence(monkeypatch):
+    base = generate_terms(spectrum_state([1.0] * 3, seed_s=7, seed_e=8), [(1, 2), (2, 3)])
+    terms = tuple(base.terms)[::-1]
+    hand_built = TermSet(terms, tuple(base.exprs), base.branches, base.base_state, base.decomposition)
+    built = Counter()
+    for cls in (derivation._Terms, EqualityStore):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    stores = [saturate(hand_built, rules) for rules in (RuleSet(), RuleSet().without("PAIRING"), RuleSet())]
+    assert built == Counter({"_Terms": 1, "EqualityStore": 3})
+    assert all(store._terms is hand_built._terms for store in stores)
+    assert list(hand_built._terms) == list(terms)
+    reference = saturate(base, RuleSet())
+    assert len(stores[0].classes()) == len(reference.classes())

@@ -19,18 +19,22 @@ from envarkit import (
     PowerOverlapFrame,
     ProbTerm,
     QuadraticFrame,
+    RationalWeights,
     RuleSet,
     SchmidtDecomposition,
     StateExpr,
+    SystemPhase,
     SystemSwap,
     TermSet,
     UnknownTerm,
+    WeightMismatch,
     audit,
     born_value,
     generate_terms,
     make_state,
     phase_transform,
     random_basis,
+    rationalize,
     replay,
     saturate,
     schmidt,
@@ -47,6 +51,9 @@ RAGGED = [[1, 0], [1]]  # numpy refuses it with a bare ValueError
 def decomposition(lam, svecs=EYE2):
     return lambda: SchmidtDecomposition(np.array(lam), svecs, EYE2)
 
+
+HUGE_SWAP_TERM = ProbTerm("S", 1, StateExpr((SystemSwap(10**5000, 1),)))
+HUGE_PHASE_TERM = ProbTerm("E", 2, StateExpr((SystemSwap(1, 2), SystemPhase((1, 10**5000), (0.5, 0.1)))))
 
 CASES = {
     "decomposition-shape": (DimensionMismatch, decomposition([[1.0]])),
@@ -112,6 +119,15 @@ CASES = {
     "audit-float-seed": (ParseError, lambda: audit(FRAME, 3, 16, 2.5)),
     "store-find-huge-index": (UnknownTerm, lambda: EqualityStore().find(ProbTerm("S", 10**5000, StateExpr()))),
     "state-norm-underflow": (ParseError, lambda: make_state([[1e-320, 0]], normalize=True)),
+    "weights-float-numerators": (WeightMismatch, lambda: RationalWeights((3.5, 1.5), 4)),
+    "weights-string-numerators": (WeightMismatch, lambda: RationalWeights(("1", "2"), "3")),
+    "weights-string-denominator": (WeightMismatch, lambda: RationalWeights((1, 2), "3")),
+    "weights-nan-denominator": (WeightMismatch, lambda: RationalWeights((1, 1), float("nan"))),
+    "rationalize-string": (WeightMismatch, lambda: rationalize("x")),
+    "rationalize-none": (WeightMismatch, lambda: rationalize(None)),
+    "rationalize-huge-weight": (WeightMismatch, lambda: rationalize([10**5000])),
+    "store-find-huge-swap-index": (UnknownTerm, lambda: EqualityStore().find(HUGE_SWAP_TERM)),
+    "store-find-huge-phase-index": (UnknownTerm, lambda: EqualityStore().find(HUGE_PHASE_TERM)),
 }
 
 
@@ -151,6 +167,8 @@ HUGE = {
     "audit-dim": lambda: audit(FRAME, 10**5000, 16, 0),
     "audit-trials": lambda: audit(FRAME, 3, 10**5000, 0),
     "store-find": lambda: EqualityStore().find(ProbTerm("S", 10**5000, StateExpr())),
+    "store-find-swap": lambda: EqualityStore().find(HUGE_SWAP_TERM),
+    "store-find-phase": lambda: EqualityStore().find(HUGE_PHASE_TERM),
 }
 
 

@@ -231,6 +231,18 @@ def test_an_underflowing_norm_is_refused_without_warnings():
         assert make_state([[1e-150, 0]], normalize=True).amps[0, 0] == 1
 
 
+def test_an_overflowing_norm_is_rescaled_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_state([[1e300, 0]], normalize=True).amps.tolist() == [[1, 0]]
+        amps = make_state([[1e300, 1e300j], [1e150, 0]], normalize=True).amps
+    assert np.allclose(amps, np.array([[1, 1j], [1e-150, 0]]) * 2**-0.5, rtol=1e-15, atol=0)
+    # a norm that does not overflow is divided out alone, so those states keep their bits
+    coeffs = np.random.default_rng(5).normal(size=(3, 4)) * 1e150 + 0j
+    expected = coeffs / np.linalg.norm(coeffs)
+    assert make_state(coeffs, normalize=True).amps.tobytes() == expected.tobytes()
+
+
 def test_a_vector_block_given_as_both_sides_is_converted_and_checked_once(monkeypatch):
     checked = []
     check = schmidt_module._check_orthonormal
