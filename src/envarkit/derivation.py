@@ -66,13 +66,15 @@ keeps them, so a ``TermSet``'s terms must not change after that.  Each
 ``saturate`` call builds a fresh store and unites each enabled rule's pairs
 as one batch.  A store of fewer than ``_ARRAY_TERMS`` terms runs the batch
 through a parent list one pair at a time; a larger one keeps an array of
-class roots and finds the pairs the loop would keep, the position-ordered
-minimum spanning forest, in a few Boruvka rounds of array passes.  A batch
-in which every pair has an end that no other pair touches, as ``PAIRING``'s
-and the locality rules' are in a ``generate_terms`` derivation, is a forest
-of stars: it keeps every pair and needs no rounds.  The size decides the
-form once, when the store is built, and both forms record the same merges
-in the same order.
+class roots and handles a batch in one of two ways.  A batch in which every
+pair has an end that no other pair touches, as ``PAIRING``'s and the
+locality rules' are in a ``generate_terms`` derivation, is a forest of
+stars: it keeps every pair, in a few array passes.  Any other batch drops,
+in array passes, each pair within one class and each pair whose two
+classes an earlier pair of the batch joins, since the loop would keep
+neither, and runs the rest through the same one-pair-at-a-time loop over
+their class roots.  The size decides the form once, when the store is
+built, and both forms record the same merges in the same order.
 
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
@@ -220,10 +222,9 @@ class RuleSet:
     normalization: bool = True
 
     def without(self, name: str) -> "RuleSet":
-        field = name.lower()
-        if field.upper() not in RULE_NAMES:
-            raise ParseError(f"unknown rule {name!r}; expected one of {RULE_NAMES}")
-        return replace(self, **{field: False})
+        if not isinstance(name, str) or name.upper() not in RULE_NAMES:
+            raise ParseError(f"unknown rule {_shown(name, repr)}; expected one of {RULE_NAMES}")
+        return replace(self, **{name.lower(): False})
 
     def enabled(self) -> tuple[str, ...]:
         return tuple(n for n in RULE_NAMES if getattr(self, n.lower()))
@@ -573,6 +574,10 @@ def generate_terms(
     dec = decomposition if decomposition is not None else schmidt(state)
     r = dec.rank
     block_of = {k: block for block in degeneracy_blocks(dec) for k in block}
+    try:
+        swaps = iter(swaps)
+    except TypeError:
+        raise ParseError(f"swaps must be a sequence of index pairs, got {_shown(swaps, repr)}") from None
     pairs: dict[tuple[int, int], None] = {}  # each distinct swap once, in first-visit order
     for swap in swaps:
         try:
@@ -612,8 +617,8 @@ class MergeRecord:
     right: ProbTerm
 
 
-def _root(parent: list[int], node: int) -> int:
-    """Root of ``node`` in a union-find parent list, compressing the path."""
+def _root(parent: list[int] | dict[int, int], node: int) -> int:
+    """Root of ``node`` in a union-find parent list or dict, compressing the path."""
     root = node
     while parent[root] != root:
         root = parent[root]
@@ -622,11 +627,12 @@ def _root(parent: list[int], node: int) -> int:
     return root
 
 
-def _union_in_order(parent: list[int], lefts: np.ndarray, rights: np.ndarray) -> list[int]:
+def _union_in_order(parent: list[int] | dict[int, int], lefts: np.ndarray, rights: np.ndarray) -> list[int]:
     """Positions of the edges ``(lefts[n], rights[n])`` that a union in order keeps.
 
-    ``parent`` is a union-find parent list whose classes are rooted at their
-    smallest id; it is updated in place, one edge at a time.
+    ``parent`` is a union-find parent list, or a dict holding every id the
+    edges name, whose classes are rooted at their smallest id; it is updated
+    in place, one edge at a time.
     """
     kept = []
     for n, (left, right) in enumerate(zip(lefts.tolist(), rights.tolist())):
@@ -647,35 +653,24 @@ def _union_in_order(parent: list[int], lefts: np.ndarray, rights: np.ndarray) ->
     return kept
 
 
-def _jump(hook: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Point ``nodes`` straight at their roots in the forest ``hook``, by pointer doubling."""
-    while True:
-        top = hook[nodes]
-        up = hook[top]
-        if np.array_equal(up, top):
-            return top
-        hook[nodes] = up
-
-
 def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """Positions of the edges ``(lefts[n], rights[n])`` that a union in order keeps.
 
     ``root`` maps each id to its class's smallest id; it is updated in place
-    to the partition after the batch.  A union in order keeps an edge exactly
-    when it joins two classes that no earlier edge has joined, so the kept
-    edges are the minimum spanning forest of the class graph with each edge
-    weighted by its position, unique since the weights differ.  Boruvka
-    rounds find it: every class picks its lowest live edge, every pick
-    belongs to that forest, and the classes joined by picks contract to one
-    before the next round.  A round at least halves the classes with live
-    edges, and each is a fixed number of array passes.
+    to the partition after the batch.  One count of each class's edge ends
+    finds a batch in which every edge has an end of degree one, an end no
+    other edge touches.  No edge of such a batch closes a cycle or repeats
+    another: it is a forest of stars, every edge is kept, and each star's
+    classes take the smallest of their roots.  A matching, such as
+    ``PAIRING``'s batch in a fresh store, is the case where every end has
+    degree one.
 
-    One count of each class's edge ends finds a batch in which every edge
-    has an end of degree one, an end no other edge touches.  No edge of
-    such a batch closes a cycle or repeats another: it is a forest of stars,
-    every edge is kept, and each star's classes take the smallest of their
-    roots, with no rounds.  A matching, such as ``PAIRING``'s batch in a
-    fresh store, is the case where every end has degree one.
+    Any other batch first drops the edges a union in order could never
+    keep: each one within one class, and each one whose class pair an
+    earlier edge of the batch already joins.  The rest go through
+    ``_union_in_order`` on a dict parent over their class roots, and
+    ``root`` is remapped once.  Under every rule, an equal-branch
+    ``STATE_FUNCTION`` batch comes down to one edge per expr pair, not 2M.
     """
     a, b = root[lefts], root[rights]
     if a.size:
@@ -692,39 +687,15 @@ def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) ->
     if not edge.size:
         return edge
     a, b = a[edge], b[edge]
-    hook = np.arange(root.size)  # each class root's pointer towards its new class
-    touched, kept = [], []
-    while edge.size:
-        n = edge.size
-        best = np.full(root.size, n)
-        rank = np.arange(n)
-        np.minimum.at(best, a, rank)
-        np.minimum.at(best, b, rank)
-        ends = np.concatenate((a, b))  # every class with a live edge, some twice
-        pick = best[ends]
-        chosen = np.zeros(n, dtype=bool)
-        chosen[pick] = True
-        kept.append(edge[chosen])
-        # each class points across its pick; two classes that picked the same
-        # edge point at each other, and the smaller becomes the root
-        other = a[pick] + b[pick] - ends
-        hook[ends] = other
-        stay = ends[(hook[other] == ends) & (ends < other)]
-        hook[stay] = stay
-        top = _jump(hook, ends)
-        touched.append(ends)
-        a, b = top[:n], top[n:]
-        live = a != b
-        edge, a, b = edge[live], a[live], b[live]
-    touched = np.concatenate(touched)
-    if len(kept) > 1:  # a class hooked in an early round may point at one hooked later
-        top = _jump(hook, touched)
-    # hooks follow picks, not ids: each new class takes its smallest old root
+    _, first = np.unique(np.minimum(a, b) * root.size + np.maximum(a, b), return_index=True)
+    first.sort()
+    edge, a, b = edge[first], a[first], b[first]
+    parent = {node: node for node in np.concatenate((a, b)).tolist()}
+    kept = edge[_union_in_order(parent, a, b)]
     low = np.arange(root.size)
-    np.minimum.at(low, top, touched)
-    hook[touched] = low[top]
-    root[:] = hook[root]
-    return kept[0] if len(kept) == 1 else np.sort(np.concatenate(kept))
+    low[list(parent)] = [_root(parent, node) for node in parent]
+    root[:] = low[root]
+    return kept
 
 
 class _Trace(_Lazy):
@@ -785,9 +756,12 @@ class EqualityStore:
     A store of fewer than ``_ARRAY_TERMS`` terms keeps a parent list and
     unites a batch of pairs one at a time (``_union_in_order``), which costs
     about a microsecond per pair.  A larger store keeps a flat int64 array
-    mapping each id to its class's smallest id, and unites a whole batch in
-    a few array passes (``_spanning_forest``), which cost tens of
-    microseconds however small the batch.  Both take a batch, update the
+    mapping each id to its class's smallest id (``_spanning_forest``): a
+    forest of stars is united in a few array passes; any other batch is cut,
+    in array passes, to the pairs that join two classes no earlier pair of
+    the batch joins, and those go through ``_union_in_order`` over their
+    class roots.  A batch that changes the partition costs a pass over the
+    whole array, however small the batch.  Both take a batch, update the
     partition and return the positions of the pairs they kept: the same
     merges, in the same order, with the same roots.  ``_unite`` then records
     those merges in one step for either form: their ids, copied as they come

@@ -32,14 +32,20 @@ class RationalWeights:
     """Branch weights ``m_k / M`` with the grain M kept un-reduced.
 
     Each numerator and the denominator must be an int as ``operator.index``
-    reads one; a float, a string or anything else raises ``WeightMismatch``.
+    reads one; a float, a string or anything else raises ``WeightMismatch``,
+    as do numerators that are not a sequence.
     """
 
     numerators: tuple[int, ...]
     denominator: int
 
     def __post_init__(self) -> None:
-        ms = tuple(_integer(m, "a numerator", WeightMismatch) for m in self.numerators)
+        try:
+            ms = tuple(_integer(m, "a numerator", WeightMismatch) for m in self.numerators)
+        except TypeError:
+            raise WeightMismatch(
+                f"numerators must be a sequence of integers, got {_shown(self.numerators, repr)}"
+            ) from None
         denominator = _integer(self.denominator, "the denominator", WeightMismatch)
         if not ms or any(m <= 0 for m in ms):
             raise WeightMismatch(f"numerators must be positive integers, got {_shown(self.numerators)}")
@@ -81,9 +87,11 @@ def rationalize(weights, tol: float = 1e-9, max_den: int = MAX_GRAIN) -> Rationa
     ``Fraction.limit_denominator``); the approximants must share a
     denominator within the bound, reproduce every weight within ``tol``,
     and sum to one, otherwise ``NoRationalFit`` is raised.  Weights that are
-    not a sequence of real numbers raise ``WeightMismatch``.
+    not a sequence of real numbers, a string among them, raise ``WeightMismatch``.
     """
     try:
+        if isinstance(weights, (str, bytes, bytearray)):  # not read as its characters
+            raise TypeError
         ws = [float(w) for w in weights]
     except (TypeError, ValueError, OverflowError):
         raise WeightMismatch(

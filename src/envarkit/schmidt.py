@@ -8,13 +8,12 @@ are 1-based everywhere in the public interface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, ParseError
-from .states import BipartiteState, _check_orthonormal, _fmt17, _rows_from_json, _rows_json
+from .states import BipartiteState, _check_orthonormal, _fmt17, _loads, _rows_from_json, _rows_json
 from .states import _numeric_array, make_state, reduced_density_system
 
 SCHMIDT_CUTOFF = 1e-12
@@ -147,10 +146,7 @@ def decomposition_to_json(decomposition: SchmidtDecomposition) -> str:
 
 
 def decomposition_from_json(text: str) -> SchmidtDecomposition:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    obj = _loads(text)
     try:
         lam = np.array(obj["lambda"], dtype=float)
         svecs = _rows_from_json(obj["s_vecs"]).T

@@ -71,7 +71,8 @@ def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
 
 
 def _check_unit(amps: np.ndarray) -> None:
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and refused below
+        norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"state norm {norm:.17g} is not 1 within {NORM_TOL}")
 
@@ -274,6 +275,14 @@ def _cell(cell) -> complex:
     return complex(*cell)
 
 
+def _loads(text) -> object:
+    """``json.loads(text)``; anything that is not a JSON document raises ``ParseError``."""
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError) as exc:  # a ``JSONDecodeError`` is a ``ValueError``
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def _rows_from_json(rows) -> np.ndarray:
     """Matrix from a JSON list of rows of ``[re, im]`` cells."""
     return np.array([[_cell(c) for c in row] for row in rows], dtype=complex)
@@ -285,10 +294,7 @@ def state_to_json(state: BipartiteState) -> str:
 
 
 def state_from_json(text: str) -> BipartiteState:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise ParseError("state document must be a JSON object")
     try:

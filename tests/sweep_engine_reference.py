@@ -6,7 +6,8 @@ Draws Haar-rotated two-level, near-degenerate and small-lambda states of
 rank 2-5, and in every 20th state an equal-branch state of rank 13-16 (all
 with ``dim_e`` up to two above the rank), and random swap schedules with
 repeats, saturates each under the full rule set and under every single-rule
-ablation, and counts the runs whose trace or classes differ from
+ablation, each equal-branch term set also under every other subset of the
+four merging rules, and counts the runs whose trace or classes differ from
 ``reference_saturate``.  Each term set serves all its rule sets in a seeded,
 shuffled order, so a run that depended on the edges an earlier run cached
 would show as a mismatch.  The equal-branch schedules are long enough for the
@@ -16,7 +17,7 @@ is also saturated as a hand-built term set, shuffled, with repeated exprs
 and terms and phase children, and those runs are counted as their own kind,
 ``hand-built``.  It exits 1 if any run differs; a state whose Schmidt
 decomposition fails is counted apart and is not a mismatch.  The default
-6,000 states take about seven minutes, so the full sweep is not part of the
+6,000 states take about four minutes, so the full sweep is not part of the
 test suite; its file name keeps pytest from collecting it, and
 ``test_reference_sweeps.py`` runs a short one.
 """
@@ -33,10 +34,11 @@ from envarkit import EnvarkitError, derivation, generate_terms, saturate, schmid
 from envarkit import EnvPhase, ProbTerm, SystemPhase, TermSet
 from envarkit.schmidt import DEGENERACY_TOL
 from helpers import block_swap_pairs, spectrum_state
-from test_engine_reference import RULE_SETS, reference_saturate
+from test_engine_reference import MERGING_SUBSETS, RULE_SETS, reference_saturate
 
 KINDS = ("rotated", "near-degenerate", "small-lambda", "equal-branch", "hand-built")
 EQUAL_BRANCH_EVERY = 20  # one such state costs about as much as 30 of the others
+EQUAL_BRANCH_RULE_SETS = RULE_SETS + [rules for rules in MERGING_SUBSETS if rules not in RULE_SETS]
 HAND_BUILT_EVERY = 10  # every other one of these is an equal-branch state
 
 
@@ -101,7 +103,8 @@ def main(argv=None) -> int:
         for kind, term_set in runs:
             counts[kind]["states"] += 1
             counts[kind]["array_stores"] += len(set(term_set.terms)) >= derivation._ARRAY_TERMS
-            for rules in [RULE_SETS[i] for i in rng.permutation(len(RULE_SETS))]:
+            rule_sets = EQUAL_BRANCH_RULE_SETS if kind == "equal-branch" else RULE_SETS
+            for rules in [rule_sets[i] for i in rng.permutation(len(rule_sets))]:
                 store, reference = saturate(term_set, rules), reference_saturate(term_set, rules)
                 counts[kind]["runs"] += 1
                 counts[kind]["trace_mismatch"] += store.trace != reference.trace

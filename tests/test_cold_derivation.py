@@ -5,8 +5,9 @@
   and the same saturation.
 * ``equal_branch_derivation`` reads the even state's Schmidt form off
   instead of calling ``schmidt``; the store must not tell the difference.
-* A batch in which every edge has an end no other edge touches skips the
-  Boruvka rounds; it must keep what a union in order keeps.
+* A batch in which every edge has an end no other edge touches is united
+  as a forest of stars, in array passes; it must keep what a union in order
+  keeps.
 * Hand-built exprs have each swap tag checked once, in (tag count, kind,
   row) order, and a hand-built term set's stores share one term sequence.
 """

@@ -10,6 +10,7 @@ order, and end with the same classes.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -33,6 +34,8 @@ from envarkit.schmidt import DEGENERACY_TOL
 from helpers import block_swap_pairs, spectrum_state
 
 RULE_SETS = [RuleSet()] + [RuleSet().without(name) for name in RULE_NAMES]
+# every subset of the four merging rules, normalization on
+MERGING_SUBSETS = [RuleSet(*flags) for flags in itertools.product((True, False), repeat=4)]
 NO_MERGING = RuleSet(pairing=False, env_locality=False, sys_locality=False, state_function=False)
 
 # largest off-peak norm of a Schmidt-frame row that still counts as paired
@@ -137,6 +140,17 @@ def test_equal_branch_states(m):
     state = make_state(np.eye(m, dtype=complex) / np.sqrt(m))
     term_set = generate_terms(state, [(k, k + 1) for k in range(1, m)])
     for rules in RULE_SETS + [NO_MERGING]:
+        assert_engine_matches_reference(term_set, rules)
+
+
+@pytest.mark.parametrize("m", [13, 16, 24, 32])
+def test_equal_branch_states_under_every_merging_rule_subset(m):
+    # array-form stores; with PAIRING and STATE_FUNCTION on, the STATE_FUNCTION
+    # batch is no forest of stars, and most of its edges repeat a class pair
+    state = make_state(np.eye(m, dtype=complex) / np.sqrt(m))
+    term_set = generate_terms(state, [(k, k + 1) for k in range(1, m)])
+    assert len(term_set.terms) >= derivation._ARRAY_TERMS
+    for rules in MERGING_SUBSETS:
         assert_engine_matches_reference(term_set, rules)
 
 

@@ -30,6 +30,7 @@ from envarkit import (
     WeightMismatch,
     audit,
     born_value,
+    decomposition_from_json,
     generate_terms,
     make_state,
     phase_transform,
@@ -38,6 +39,7 @@ from envarkit import (
     replay,
     saturate,
     schmidt,
+    state_from_json,
     swap_transform,
 )
 
@@ -128,6 +130,15 @@ CASES = {
     "rationalize-huge-weight": (WeightMismatch, lambda: rationalize([10**5000])),
     "store-find-huge-swap-index": (UnknownTerm, lambda: EqualityStore().find(HUGE_SWAP_TERM)),
     "store-find-huge-phase-index": (UnknownTerm, lambda: EqualityStore().find(HUGE_PHASE_TERM)),
+    "state-norm-overflow": (NotNormalized, lambda: make_state([[1e300, 0]])),
+    "amps-norm-overflow": (NotNormalized, lambda: BipartiteState(np.array([[1e300, 0]]))),
+    "weights-int-numerators": (WeightMismatch, lambda: RationalWeights(5, 5)),
+    "rationalize-digit-string": (WeightMismatch, lambda: rationalize("1")),
+    "state-json-none": (ParseError, lambda: state_from_json(None)),
+    "decomposition-json-none": (ParseError, lambda: decomposition_from_json(None)),
+    "generate-terms-int-swaps": (ParseError, lambda: generate_terms(BELL, 5)),
+    "generate-terms-none-swaps": (ParseError, lambda: generate_terms(BELL, None)),
+    "rule-set-without-int": (ParseError, lambda: RuleSet().without(5)),
 }
 
 
