@@ -72,9 +72,10 @@ locality rules' are in a ``generate_terms`` derivation, is a forest of
 stars: it keeps every pair, in a few array passes.  Any other batch drops,
 in array passes, each pair within one class and each pair whose two
 classes an earlier pair of the batch joins, since the loop would keep
-neither, and runs the rest through the same one-pair-at-a-time loop over
-their class roots.  The size decides the form once, when the store is
-built, and both forms record the same merges in the same order.
+neither.  What is left is united in the same array passes when it is a
+forest of stars, and otherwise runs through the same one-pair-at-a-time
+loop over its class roots.  The size decides the form once, when the
+store is built, and both forms record the same merges in the same order.
 
 The dense ``replay`` and ``born_value`` are the oracle that audits it.
 """
@@ -100,6 +101,7 @@ from .errors import (
     ParseError,
     UnevenCoefficients,
     UnknownTerm,
+    _sequence,
     _shown,
 )
 from .schmidt import SchmidtDecomposition, degeneracy_blocks, schmidt
@@ -193,7 +195,7 @@ class ProbTerm:
     state: StateExpr
 
     def __post_init__(self) -> None:
-        if self.subsystem not in ("S", "E"):
+        if not isinstance(self.subsystem, str) or self.subsystem not in ("S", "E"):
             raise ParseError(f"subsystem must be 'S' or 'E', got {_shown(self.subsystem, repr)}")
 
     def __str__(self) -> str:
@@ -438,9 +440,9 @@ def _with_skeleton(exprs, r: int) -> _Exprs:
     pass that gives each distinct expr a row, in order, and each prefix that
     is not listed a row after them, as the pass first needs it, and puts
     each row in its group; a tag of no ``_KINDS`` class raises
-    ``TypeError``.  Then each swap tag is checked by ``_check_swap`` and
-    ``_check_indices``, as ``replay`` checks it, in group order, so the
-    first malformed one raises what ``replay`` raises for it.
+    ``TypeError``.  Then each swap tag is checked by ``_check_swap``, as
+    ``replay`` checks it, in group order, so the first malformed one raises
+    what ``replay`` raises for it.
     """
     if isinstance(exprs, _Exprs) and exprs.ab.max(initial=0) < r:
         return exprs
@@ -465,8 +467,7 @@ def _with_skeleton(exprs, r: int) -> _Exprs:
     ab = np.zeros((2, len(every)), dtype=int)
     for n in chain.from_iterable(group for kind, group in groups if kind in (0, 1)):
         t = every[n].transforms[-1]
-        _check_swap(t.i, t.j)
-        _check_indices((t.i, t.j), r)
+        _check_swap(t.i, t.j, r)
         ab[:, n] = index(t.i) - 1, index(t.j) - 1
     parent, kind = np.array(columns, dtype=int).reshape(-1, 2).T
     return _Exprs(parent, kind, ab, groups, every[:listed], unlisted=tuple(every[listed:]))
@@ -574,18 +575,13 @@ def generate_terms(
     dec = decomposition if decomposition is not None else schmidt(state)
     r = dec.rank
     block_of = {k: block for block in degeneracy_blocks(dec) for k in block}
-    try:
-        swaps = iter(swaps)
-    except TypeError:
-        raise ParseError(f"swaps must be a sequence of index pairs, got {_shown(swaps, repr)}") from None
     pairs: dict[tuple[int, int], None] = {}  # each distinct swap once, in first-visit order
-    for swap in swaps:
+    for swap in _sequence(swaps, "swaps", ParseError):
         try:
             i, j = swap
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"swap {swap!r} is not a pair of branch indices") from exc
-        _check_swap(i, j)
-        _check_indices((i, j), r)
+            raise ParseError(f"swap {_shown(swap, repr)} is not a pair of branch indices") from exc
+        _check_swap(i, j, r)
         if block_of[i] != block_of[j]:
             raise UnevenCoefficients(
                 f"branches {i} and {j} lie in different equal-coefficient blocks"
@@ -658,31 +654,24 @@ def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) ->
 
     ``root`` maps each id to its class's smallest id; it is updated in place
     to the partition after the batch.  One count of each class's edge ends
-    finds a batch in which every edge has an end of degree one, an end no
-    other edge touches.  No edge of such a batch closes a cycle or repeats
-    another: it is a forest of stars, every edge is kept, and each star's
-    classes take the smallest of their roots.  A matching, such as
+    (``_stars``) finds a batch in which every edge has an end of degree one,
+    an end no other edge touches.  No edge of such a batch closes a cycle or
+    repeats another: it is a forest of stars, every edge is kept, and each
+    star's classes take the smallest of their roots.  A matching, such as
     ``PAIRING``'s batch in a fresh store, is the case where every end has
     degree one.
 
     Any other batch first drops the edges a union in order could never
     keep: each one within one class, and each one whose class pair an
-    earlier edge of the batch already joins.  The rest go through
-    ``_union_in_order`` on a dict parent over their class roots, and
-    ``root`` is remapped once.  Under every rule, an equal-branch
-    ``STATE_FUNCTION`` batch comes down to one edge per expr pair, not 2M.
+    earlier edge of the batch already joins.  Under every rule, an
+    equal-branch ``STATE_FUNCTION`` batch comes down to one edge per expr
+    pair, not 2M.  When the rest form a forest of stars, they are united
+    by the same count; otherwise they go through ``_union_in_order`` on a
+    dict parent over their class roots, and ``root`` is remapped once.
     """
     a, b = root[lefts], root[rights]
-    if a.size:
-        degree = np.bincount(np.concatenate((a, b)))
-        leaf = degree[a] == 1
-        if (leaf | (degree[b] == 1)).all():
-            centre, leaf = np.where(leaf, b, a), np.where(leaf, a, b)
-            low = np.arange(root.size)
-            np.minimum.at(low, centre, leaf)
-            low[leaf] = low[centre]
-            root[:] = low[root]
-            return np.arange(a.size)
+    if a.size and _stars(root, a, b):
+        return np.arange(a.size)
     edge = np.flatnonzero(a != b)
     if not edge.size:
         return edge
@@ -690,12 +679,33 @@ def _spanning_forest(root: np.ndarray, lefts: np.ndarray, rights: np.ndarray) ->
     _, first = np.unique(np.minimum(a, b) * root.size + np.maximum(a, b), return_index=True)
     first.sort()
     edge, a, b = edge[first], a[first], b[first]
+    if _stars(root, a, b):
+        return edge
     parent = {node: node for node in np.concatenate((a, b)).tolist()}
     kept = edge[_union_in_order(parent, a, b)]
     low = np.arange(root.size)
     low[list(parent)] = [_root(parent, node) for node in parent]
     root[:] = low[root]
     return kept
+
+
+def _stars(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the edges ``(a[n], b[n])`` between class roots form a forest of stars,
+    every edge with an end no other edge touches; if so, unite them in ``root``.
+
+    Each star's classes take the smallest of their roots, as a union in
+    order roots them, and ``root`` is updated in place.
+    """
+    degree = np.bincount(np.concatenate((a, b)))
+    leaf = degree[a] == 1
+    if not (leaf | (degree[b] == 1)).all():
+        return False
+    centre, leaf = np.where(leaf, b, a), np.where(leaf, a, b)
+    low = np.arange(root.size)
+    np.minimum.at(low, centre, leaf)
+    low[leaf] = low[centre]
+    root[:] = low[root]
+    return True
 
 
 class _Trace(_Lazy):
@@ -759,11 +769,12 @@ class EqualityStore:
     mapping each id to its class's smallest id (``_spanning_forest``): a
     forest of stars is united in a few array passes; any other batch is cut,
     in array passes, to the pairs that join two classes no earlier pair of
-    the batch joins, and those go through ``_union_in_order`` over their
-    class roots.  A batch that changes the partition costs a pass over the
-    whole array, however small the batch.  Both take a batch, update the
-    partition and return the positions of the pairs they kept: the same
-    merges, in the same order, with the same roots.  ``_unite`` then records
+    the batch joins, and those are united as a forest of stars when they
+    form one, else by ``_union_in_order`` over their class roots.  A batch
+    that changes the partition costs a pass over the whole array, however
+    small the batch.  Both take a batch, update the partition and return
+    the positions of the pairs they kept: the same merges, in the same
+    order, with the same roots.  ``_unite`` then records
     those merges in one step for either form: their ids, copied as they come
     when the batch kept every pair, and the batch's rule and end.
     ``_root_of`` reads one root for either form, and ``find()``,
@@ -913,9 +924,8 @@ def _frames(
             col[rows], val[rows] = col[up], val[up]
             for n in rows.tolist():
                 t = exprs.row(n).transforms[-1]
-                _check_phase(t.indices, t.betas)
-                _check_indices(t.indices, r)
-                for k, phase in zip(t.indices, np.exp(1j * np.array(t.betas, float))):
+                indices, betas = _check_phase(t.indices, t.betas, r)
+                for k, phase in zip(indices, np.exp(1j * np.array(betas, float))):
                     val[n, k - 1 if kind == 2 else col[n].tolist().index(k - 1)] *= phase
             continue
         a, b = exprs.ab[:, rows]

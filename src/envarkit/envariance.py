@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis, ParseError, _shown
+from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalBasis, ParseError
+from .errors import _integer, _real, _sequence, _shown
 from .schmidt import DEGENERACY_TOL, SCHMIDT_CUTOFF, SchmidtDecomposition, degeneracy_blocks, schmidt
 from .states import (
     _BASIS_TOL,
@@ -47,12 +47,11 @@ class EnvarianceVerdict:
     residual: float
 
 
-def _checked_basis(basis, indices: Iterable[int]) -> np.ndarray:
+def _checked_basis(basis) -> np.ndarray:
     vecs = _numeric_array(basis, complex, "basis")
     if vecs.ndim != 2 or vecs.shape[1] == 0:
         raise NonOrthonormalBasis(f"basis must be a nonempty 2-d column block, got shape {vecs.shape}")
     _check_orthonormal(vecs, _BASIS_TOL, "basis")
-    _check_indices(indices, vecs.shape[1])
     return vecs
 
 
@@ -60,30 +59,35 @@ def _check_indices(indices: Iterable[int], n: int) -> None:
     """Refuse, with ``IndexOutOfRange``, an index that is not an int (as
     ``operator.index`` reads one) or lies outside 1..n."""
     for idx in indices:
-        try:
-            index(idx)
-        except TypeError:
-            raise IndexOutOfRange(f"index {idx!r} is not an integer") from None
-        if not 1 <= idx <= n:
+        if not 1 <= _integer(idx, "index", IndexOutOfRange) <= n:
             raise IndexOutOfRange(f"index {_shown(idx)} outside 1..{n}")
 
 
-def _check_swap(i: int, j: int) -> None:
+def _check_swap(i: int, j: int, n: int) -> None:
+    """Refuse, with ``IndexOutOfRange``, swap indices that are not ints or lie
+    outside 1..n, and then equal ones."""
+    _check_indices((i, j), n)
     if i == j:
         raise IndexOutOfRange("swap indices must differ")
 
 
-def _check_phase(indices: Sequence[int], betas: Sequence[float]) -> None:
+def _check_phase(indices: Sequence[int], betas: Sequence[float], n: int) -> tuple[tuple, tuple]:
+    """The indices and phases of a phase tag on an n-vector basis, each as a tuple.
+
+    Indices or phases that are not a sequence, and a phase that is not a
+    finite real number, raise ``ParseError``; an index that is not an int,
+    lies outside 1..n or is repeated raises ``IndexOutOfRange``.
+    """
+    indices = _sequence(indices, "phase indices", ParseError)
+    betas = _sequence(betas, "phases", ParseError)
     if len(indices) != len(betas):
         raise DimensionMismatch(f"{len(indices)} indices but {len(betas)} phases")
-    if len(set(indices)) != len(indices):
+    _check_indices(indices, n)
+    if len(set(map(int, indices))) != len(indices):  # each index reads as an int by now
         raise IndexOutOfRange("phase indices must be distinct")
-    try:
-        finite = all(map(isfinite, betas))
-    except (TypeError, OverflowError):  # not a real number, or an int past float range
-        raise ParseError("phases must be real numbers within float range") from None
-    if not finite:
+    if not all(isfinite(_real(beta, "phase", ParseError)) for beta in betas):
         raise ParseError("phases must be finite (no NaN/Inf entries)")
+    return indices, betas
 
 
 def phase_transform(
@@ -93,8 +97,8 @@ def phase_transform(
 
     Identity on the orthogonal complement of the selected vectors.
     """
-    _check_phase(indices, betas)
-    vecs = _checked_basis(basis, indices)
+    vecs = _checked_basis(basis)
+    indices, betas = _check_phase(indices, betas, vecs.shape[1])
     mat = np.eye(vecs.shape[0], dtype=complex)
     for idx, beta in zip(indices, betas):
         v = vecs[:, idx - 1]
@@ -104,8 +108,8 @@ def phase_transform(
 
 def swap_transform(i: int, j: int, basis) -> LocalUnitary:
     """Self-inverse unitary exchanging basis vectors ``i`` and ``j`` (1-based)."""
-    _check_swap(i, j)
-    vecs = _checked_basis(basis, (i, j))
+    vecs = _checked_basis(basis)
+    _check_swap(i, j, vecs.shape[1])
     vi, vj = vecs[:, i - 1], vecs[:, j - 1]
     mat = np.eye(vecs.shape[0], dtype=complex)
     mat -= np.outer(vi, vi.conj()) + np.outer(vj, vj.conj())
@@ -154,6 +158,7 @@ def check_envariance(
     derives nothing from one whose restored state lies past its own
     ``STATE_EQ_TOL``.
     """
+    tol = _real(tol, "tol", ParseError)
     if u_s.dim != state.dim_s:
         raise DimensionMismatch(f"unitary dim {u_s.dim} != system dim {state.dim_s}")
     dec = decomposition if decomposition is not None else schmidt(state)

@@ -18,7 +18,7 @@ from math import lcm
 import numpy as np
 
 from .derivation import EqualityStore, RuleSet, TermSet, generate_terms, numeric_probabilities, saturate
-from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch, _integer, _shown
+from .errors import IncompleteDerivation, NoRationalFit, WeightMismatch, _integer, _real, _sequence, _shown
 from .schmidt import SchmidtDecomposition
 from .states import BipartiteState, make_state
 
@@ -40,13 +40,9 @@ class RationalWeights:
     denominator: int
 
     def __post_init__(self) -> None:
-        try:
-            ms = tuple(_integer(m, "a numerator", WeightMismatch) for m in self.numerators)
-        except TypeError:
-            raise WeightMismatch(
-                f"numerators must be a sequence of integers, got {_shown(self.numerators, repr)}"
-            ) from None
-        denominator = _integer(self.denominator, "the denominator", WeightMismatch)
+        ms = _sequence(self.numerators, "numerators", WeightMismatch)
+        ms = tuple(_integer(m, "numerator", WeightMismatch) for m in ms)
+        denominator = _integer(self.denominator, "denominator", WeightMismatch)
         if not ms or any(m <= 0 for m in ms):
             raise WeightMismatch(f"numerators must be positive integers, got {_shown(self.numerators)}")
         if sum(ms) != denominator:
@@ -86,17 +82,13 @@ def rationalize(weights, tol: float = 1e-9, max_den: int = MAX_GRAIN) -> Rationa
     denominator (continued-fraction convergents via
     ``Fraction.limit_denominator``); the approximants must share a
     denominator within the bound, reproduce every weight within ``tol``,
-    and sum to one, otherwise ``NoRationalFit`` is raised.  Weights that are
-    not a sequence of real numbers, a string among them, raise ``WeightMismatch``.
+    and sum to one, otherwise ``NoRationalFit`` is raised.  Weights that
+    are not a sequence of real numbers (``numbers.Real``), such as a string
+    or a list of numeric strings, raise ``WeightMismatch``, and so does a
+    ``tol`` that is not a real number.
     """
-    try:
-        if isinstance(weights, (str, bytes, bytearray)):  # not read as its characters
-            raise TypeError
-        ws = [float(w) for w in weights]
-    except (TypeError, ValueError, OverflowError):
-        raise WeightMismatch(
-            f"weights must be a sequence of real numbers, got {_shown(weights, repr)}"
-        ) from None
+    ws = [_real(w, "weight", WeightMismatch) for w in _sequence(weights, "weights", WeightMismatch)]
+    tol = _real(tol, "tol", WeightMismatch)
     if not ws or not all(0 < w < float("inf") for w in ws):
         raise WeightMismatch(f"weights must be positive and finite, got {weights}")
     if abs(sum(ws) - 1.0) > tol:
@@ -121,8 +113,8 @@ def fine_grain(weights: RationalWeights, n: int) -> FineGrainedState:
     amplitude matrix has ``M`` entries of ``1/sqrt(M)`` and the squared
     Schmidt coefficients are exactly the weights.
     """
-    if n != len(weights.numerators):
-        raise WeightMismatch(f"{len(weights.numerators)} weights cannot fill {n} branches")
+    if _integer(n, "branch count", WeightMismatch) != len(weights.numerators):
+        raise WeightMismatch(f"{len(weights.numerators)} weights cannot fill {_shown(n)} branches")
     m_total = weights.denominator
     amp = 1.0 / np.sqrt(m_total)
     amps = np.zeros((n, m_total), dtype=complex)
@@ -173,7 +165,7 @@ def equal_branch_derivation(
     grain 3's entry.  ``cache_info``, ``cache_clear`` and ``__wrapped__``
     (the uncached run) are the cache's.
     """
-    m_total = _integer(m_total, "the grain", WeightMismatch)
+    m_total = _integer(m_total, "grain", WeightMismatch)
     if m_total < 1:
         raise WeightMismatch(f"the grain must be at least 1, got {_shown(m_total)}")
     if m_total > MAX_GRAIN:

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, ParseError, _integer, _shown
-from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal, _numeric_array
+from .errors import DimensionMismatch, NotNormalized, ParseError, _integer, _real, _shown
+from .states import _BASIS_TOL, _as_complex_array, _check_orthonormal, _numeric_array, _unit_amps
 
 AUDIT_TOL = 1e-9
 
@@ -110,15 +110,8 @@ class PowerOverlapFrame:
     alpha: float
 
     def __post_init__(self) -> None:
-        w = _as_complex_array(self.w, 1, "w")
-        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
-            raise NotNormalized("w must be a unit vector")
-        try:
-            nan = isnan(self.alpha)
-        except (TypeError, OverflowError):  # not a real number, or an int past float range
-            kind = type(self.alpha).__name__
-            raise ParseError(f"alpha must be a real number within float range, got {kind}") from None
-        if nan:
+        w = _unit_amps(self.w, 1, "w")
+        if isnan(_real(self.alpha, "alpha", ParseError)):
             raise ParseError("alpha must be a number, got NaN")
         object.__setattr__(self, "w", w)
 
@@ -136,7 +129,8 @@ class PowerOverlapFrame:
         try:
             return np.array([[x**self.alpha for x in row] for row in overlaps])
         except (OverflowError, ZeroDivisionError):  # where numpy's scalar power gives inf
-            return np.array([[np.float64(x) ** self.alpha for x in row] for row in overlaps])
+            with np.errstate(over="ignore", divide="ignore"):
+                return np.array([[np.float64(x) ** self.alpha for x in row] for row in overlaps])
 
 
 @dataclass(frozen=True)
@@ -238,6 +232,7 @@ def audit(
     reproduces the worst basis, and a ``CustomFrame`` is called in serial order.
     """
     dim, trials, seed = _check_audit_size(dim, trials, seed)
+    tol = _real(tol, "tol", ParseError)
     _check_frame_dim(p, dim)
     devs: list[float] = []
     for start in range(seed, seed + trials, _AUDIT_CHUNK):

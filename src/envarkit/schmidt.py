@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, ParseError
+from .errors import DimensionMismatch, NotNormalized, ParseError, _real
 from .states import BipartiteState, _check_orthonormal, _fmt17, _loads, _rows_from_json, _rows_json
 from .states import _numeric_array, make_state, reduced_density_system
 
@@ -35,6 +35,9 @@ class SchmidtDecomposition:
     env_vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        # converting complex values to float would drop their imaginary parts, with a warning
+        if np.iscomplexobj(_numeric_array(self.coefficients, None, "coefficients")):
+            raise ParseError("coefficients must be real numbers")
         lam = _numeric_array(self.coefficients, float, "coefficients")
         svecs = _numeric_array(self.system_vectors, complex, "system_vectors")
         # one block given as both sides is converted and checked once, and shared
@@ -114,8 +117,10 @@ def degeneracy_blocks(
 
     Within a block all coefficients lie within ``tol`` of the block's leading
     value, so members agree pairwise; blocks come out ordered by descending
-    coefficient.
+    coefficient.  ``tol`` is read as a real number (``errors._real``), so
+    anything else raises ``ParseError``.
     """
+    tol = _real(tol, "tol", ParseError)
     lam = decomposition.coefficients
     blocks: list[list[int]] = []
     current = [1]
@@ -151,6 +156,6 @@ def decomposition_from_json(text: str) -> SchmidtDecomposition:
         lam = np.array(obj["lambda"], dtype=float)
         svecs = _rows_from_json(obj["s_vecs"]).T
         evecs = _rows_from_json(obj["e_vecs"]).T
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed decomposition document: {exc}") from exc
     return SchmidtDecomposition(lam, svecs, evecs)

@@ -39,8 +39,9 @@ def _fmt17(x: float) -> str:
 
 def _check_orthonormal(block: np.ndarray, tol: float, what: str, error=NonOrthonormalBasis) -> None:
     """Raise ``error`` unless ``max |B†B - I|`` over the columns of the block (or of every
-    block in a stack) is ``<= tol``; NaN fails."""
-    gram = np.conj(block).swapaxes(-1, -2) @ block
+    block in a stack) is ``<= tol``; NaN fails, and so does a Gram entry that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect is refused below
+        gram = np.conj(block).swapaxes(-1, -2) @ block
     d = block.shape[-1]
     # the diagonals of the fresh Gram stack, as a strided view of its flattened blocks
     gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
@@ -51,10 +52,10 @@ def _check_orthonormal(block: np.ndarray, tol: float, what: str, error=NonOrthon
 
 def _numeric_array(values, dtype, what: str) -> np.ndarray:
     """A fresh ``dtype`` array of ``values``; numpy's refusal of a ragged or
-    non-numeric input is raised as ``ParseError``."""
+    non-numeric input, or of an int past the dtype's range, is raised as ``ParseError``."""
     try:
         return np.array(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be a rectangular array of numbers: {exc}") from exc
 
 
@@ -70,17 +71,18 @@ def _as_complex_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_unit(amps: np.ndarray) -> None:
+def _check_unit(amps: np.ndarray, what: str) -> None:
+    """Raise ``NotNormalized`` unless the norm of ``amps``, named ``what``, is 1 within ``NORM_TOL``."""
     with np.errstate(over="ignore"):  # an overflowing norm is inf, and refused below
         norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise NotNormalized(f"state norm {norm:.17g} is not 1 within {NORM_TOL}")
+        raise NotNormalized(f"{what} is not a unit vector: norm {norm:.17g}, not 1 within {NORM_TOL}")
 
 
 def _unit_amps(values, ndim: int, what: str) -> np.ndarray:
     """Validated read-only amplitude array whose norm is 1 within ``NORM_TOL``."""
     amps = _as_complex_array(values, ndim, what)
-    _check_unit(amps)
+    _check_unit(amps, what)
     return amps
 
 
@@ -187,7 +189,7 @@ def make_state(coeffs, normalize: bool = False) -> BipartiteState:
             raise ParseError("coefficients are too small to normalize: their norm underflows to zero")
         amps = amps / norm
         amps.setflags(write=False)
-    _check_unit(amps)
+    _check_unit(amps, "coefficients")
     state = object.__new__(BipartiteState)
     object.__setattr__(state, "amps", amps)
     return state
@@ -305,7 +307,7 @@ def state_from_json(text: str) -> BipartiteState:
         raise ParseError("dim_s and dim_e must be positive integers")
     try:
         arr = _rows_from_json(amps)
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:  # an int cell past float range
         raise ParseError(f"amps must be a matrix of [re, im] pairs: {exc}") from exc
     if arr.ndim != 2 or arr.shape != (dim_s, dim_e):
         raise ParseError(f"amps shape {arr.shape} does not match dims ({dim_s}, {dim_e})")

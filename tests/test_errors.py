@@ -30,8 +30,13 @@ from envarkit import (
     WeightMismatch,
     audit,
     born_value,
+    check_envariance,
     decomposition_from_json,
+    degeneracy_blocks,
+    fine_grain,
+    frame_sum,
     generate_terms,
+    is_even,
     make_state,
     phase_transform,
     random_basis,
@@ -56,6 +61,8 @@ def decomposition(lam, svecs=EYE2):
 
 HUGE_SWAP_TERM = ProbTerm("S", 1, StateExpr((SystemSwap(10**5000, 1),)))
 HUGE_PHASE_TERM = ProbTerm("E", 2, StateExpr((SystemSwap(1, 2), SystemPhase((1, 10**5000), (0.5, 0.1)))))
+HUGE_CELL_JSON = '{"dim_s": 1, "dim_e": 1, "amps": [[[1%s, 0]]]}' % ("0" * 400)
+HUGE_LAMBDA_JSON = '{"lambda": [1%s], "s_vecs": [[[1, 0]]], "e_vecs": [[[1, 0]]]}' % ("0" * 400)
 
 CASES = {
     "decomposition-shape": (DimensionMismatch, decomposition([[1.0]])),
@@ -139,6 +146,27 @@ CASES = {
     "generate-terms-int-swaps": (ParseError, lambda: generate_terms(BELL, 5)),
     "generate-terms-none-swaps": (ParseError, lambda: generate_terms(BELL, None)),
     "rule-set-without-int": (ParseError, lambda: RuleSet().without(5)),
+    "envariance-none-tol": (ParseError, lambda: check_envariance(BELL, LocalUnitary(EYE2), tol=None)),
+    "even-string-tol": (ParseError, lambda: is_even(schmidt(BELL), "x")),
+    "blocks-huge-tol": (ParseError, lambda: degeneracy_blocks(schmidt(BELL), 10**5000)),
+    "audit-array-tol": (ParseError, lambda: audit(FRAME, 3, 2, 0, np.eye(2))),
+    "rationalize-none-tol": (WeightMismatch, lambda: rationalize([0.5, 0.5], None)),
+    "phase-int-indices": (ParseError, lambda: phase_transform(1, (0.1,), EYE2)),
+    "phase-none-betas": (ParseError, lambda: phase_transform((1,), None, EYE2)),
+    "state-huge-int": (ParseError, lambda: make_state([[10**5000, 0]])),
+    "power-huge-int-w": (ParseError, lambda: PowerOverlapFrame([10**5000, 0], 2.0)),
+    "state-json-huge-int-cell": (ParseError, lambda: state_from_json(HUGE_CELL_JSON)),
+    "decomposition-json-huge-int-lambda": (ParseError, lambda: decomposition_from_json(HUGE_LAMBDA_JSON)),
+    "rationalize-string-weights": (WeightMismatch, lambda: rationalize(["0.5", "0.5"])),
+    "fine-grain-float-branches": (WeightMismatch, lambda: fine_grain(RationalWeights((1, 1), 2), 2.0)),
+    "fine-grain-huge-branches": (WeightMismatch, lambda: fine_grain(RationalWeights((1, 1), 2), 10**5000)),
+    "swap-array-index": (IndexOutOfRange, lambda: swap_transform(np.eye(2), 2, EYE2)),
+    "swap-nested-huge-index": (IndexOutOfRange, lambda: swap_transform([[10**5000, 0]], 2, EYE2)),
+    "term-array-subsystem": (ParseError, lambda: ProbTerm(np.eye(2), 1, StateExpr())),
+    "generate-terms-huge-swap": (ParseError, lambda: generate_terms(BELL, [(10**5000,)])),
+    "power-norm-overflow": (NotNormalized, lambda: PowerOverlapFrame(np.array([1e300, 0.0]), 2.0)),
+    "basis-gram-overflow": (NonOrthonormalBasis, lambda: swap_transform(1, 2, [[1e300, 0], [0, 1]])),
+    "decomposition-complex-lambda": (ParseError, decomposition(np.array([R, R], dtype=complex))),
 }
 
 
@@ -148,6 +176,10 @@ def test_validation_faults_are_envarkit_errors(case):
     with pytest.raises(EnvarkitError) as info:
         build()
     assert type(info.value) is kind
+
+
+def test_a_power_frame_with_negative_alpha_is_inf_at_a_zero_overlap_without_a_warning():
+    assert frame_sum(PowerOverlapFrame(np.array([1, 0, 0]), -1.0), BasisSample(np.eye(3), 0)) == np.inf
 
 
 BELL = make_state(EYE2 * R)
