@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate, chain, cycle
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import NoReturn
 
 import numpy as np
@@ -35,9 +40,144 @@ from .schmidt import DEGENERACY_TOL, is_even, schmidt
 from .states import LocalUnitary, _cells, load_state
 
 
+# How ``json.dumps`` writes a non-finite float when ``allow_nan`` is on
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# A column of sibling texts as one template: ``(literals, flat)``.  With k =
+# len(literals) - 1 placeholders, the text of value n is literals[0] +
+# flat[n * k] + literals[1] + ... + flat[n * k + k - 1] + literals[k].
+_Column = tuple[list[str], list[str]]
+
+
+def _column(values: list, depth: int) -> _Column:
+    """The texts of ``values``, siblings at nesting ``depth``, written together when
+    they are of one kind.  Anything but a str, float, int, bool, None, list,
+    tuple or dict (a subclass of a scalar type, say) is written by
+    ``json.dumps``, which raises for what JSON cannot hold."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return _each(values, depth)
+    kind = kinds.pop()
+    write = _WRITERS.get(kind) or (
+        _lists if issubclass(kind, (list, tuple)) else _dicts if issubclass(kind, dict) else _scalars
+    )
+    return write(values, depth)
+
+
+def _each(values: list, depth: int) -> _Column:
+    """The column of ``values`` of several kinds or shapes, each written on its own."""
+    return ["", ""], [_joined(_column([value], depth), 0, 1, "") for value in values]
+
+
+def _joined(column: _Column, start: int, stop: int, sep: str, open_: str = "", close: str = "") -> str:
+    """The texts of values ``start`` to ``stop`` (``stop > start``) of a column, with
+    ``sep`` between each two, after ``open_`` and before ``close``, in one join."""
+    literals, flat = column
+    k = len(literals) - 1
+    if not k:
+        return open_ + sep.join([literals[0]] * (stop - start)) + close
+    after = [*literals[1:-1], literals[-1] + sep + literals[0]]  # the literal after each argument
+    pieces = [open_ + literals[0], *chain.from_iterable(zip(flat[start * k : stop * k], cycle(after)))]
+    pieces[-1] = literals[-1] + close  # the last value is followed by no other
+    return "".join(pieces)
+
+
+def _floats(values: list, depth: int) -> _Column:
+    texts = list(map(float.__repr__, values))
+    if not _NONFINITE.keys().isdisjoint(texts):
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return ["", ""], texts
+
+
+def _list_of(item: list[str], n: int, depth: int) -> list[str]:
+    """The literals of a list at ``depth`` of ``n`` items with the literals ``item``,
+    each item on its own line, in a few list operations whatever ``n``."""
+    if not n:
+        return ["[]"]
+    inner, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
+    if len(item) == 1:  # a constant item
+        return ["[" + inner + ("," + inner).join(item * n) + end]
+    head, *middle, tail = item
+    return ["[" + inner + head, *(middle + [tail + "," + inner + head]) * (n - 1), *middle, tail + end]
+
+
+def _lists(values: list, depth: int) -> _Column:
+    """Every item of the lists is written in one column.  Lists of one length take
+    one template, their items' inlined; lists of several are joined one by
+    one."""
+    lengths = list(map(len, values))
+    items = _column(list(chain.from_iterable(values)), depth + 1)
+    shapes = set(lengths)
+    if len(shapes) == 1:
+        return _list_of(items[0], shapes.pop(), depth), items[1]
+    inner = "\n" + "  " * (depth + 1)
+    opener, sep, closer = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+    ends = list(accumulate(lengths))
+    return ["", ""], [_joined(items, end - n, end, sep, opener, closer) if n else "[]" for n, end in zip(lengths, ends)]
+
+
+def _key(key) -> str:
+    """A dict key's text: a str, or an int, float, bool or None as ``json.dumps`` writes it, quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring(key)
+
+
+def _dicts(values: list, depth: int) -> _Column:
+    """Dicts of one key sequence take one template, each key's values written in
+    one column and their template inlined; dicts of several are written one by
+    one."""
+    shapes = list(map(tuple, values))
+    if len(set(shapes)) > 1:
+        return _each(values, depth)
+    if not shapes[0]:
+        return ["{}"], []
+    inner = "\n" + "  " * (depth + 1)
+    literals, flats = ["{"], []
+    for n, key in enumerate(shapes[0]):
+        key_literals, flat = _column(list(map(itemgetter(key), values)), depth + 1)
+        literals[-1] += ("," if n else "") + inner + _key(key) + ": " + key_literals[0]
+        literals += key_literals[1:]
+        flats.append((flat, len(key_literals) - 1))
+    literals[-1] += "\n" + "  " * depth + "}"
+    if len(values) == 1:
+        return literals, list(chain.from_iterable(flat for flat, _ in flats))
+    strides = (flat[j::k] for flat, k in flats for j in range(k))  # each placeholder's arguments
+    return literals, list(chain.from_iterable(zip(*strides)))
+
+
+def _scalars(values: list, depth: int) -> _Column:
+    return ["", ""], [json.dumps(value, ensure_ascii=False) for value in values]
+
+
+_WRITERS = {
+    str: lambda values, depth: (["", ""], list(map(encode_basestring, values))),
+    float: _floats,
+    int: lambda values, depth: (["", ""], list(map(int.__repr__, values))),
+    bool: lambda values, depth: (["", ""], ["true" if value else "false" for value in values]),
+    type(None): lambda values, depth: (["", ""], ["null"] * len(values)),
+    list: _lists,
+    tuple: _lists,
+    dict: _dicts,
+}
+
+
 def _render(report: dict, fmt: str) -> str:
+    """``report`` as JSON, byte for byte ``json.dumps(report, indent=2,
+    ensure_ascii=False)`` and a newline, or as ``key: value`` lines.
+
+    CPython's C encoder runs only without ``indent``, so the JSON is put
+    together here one nesting level at a time (``_column``): each level's
+    strings go through the C ``encode_basestring`` and its numbers through
+    ``float.__repr__`` and ``int.__repr__``, mapped over the level; its
+    lists of one length and its dicts of one key sequence share one
+    template, their items' templates inlined; and the text is made in one
+    join.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        return _joined(_column([report], 0), 0, 1, "", close="\n")
     lines = []
     for key, value in report.items():
         if isinstance(value, (dict, list)):
@@ -108,12 +248,10 @@ def _cmd_envariance(args) -> tuple[dict, int]:
 def _derivation_report(term_set: TermSet, rules: RuleSet) -> dict:
     state = term_set.base_state
     store = saturate(term_set, rules)
+    classes, trace = store._by_name()
     report = {
-        "classes": [[str(t) for t in cls] for cls in store.classes()],
-        "trace": [
-            {"rule": rec.rule, "merged": [str(rec.left), str(rec.right)]}
-            for rec in store.trace
-        ],
+        "classes": classes,
+        "trace": [{"rule": rule, "merged": [left, right]} for rule, left, right in trace],
     }
     try:
         probs = numeric_probabilities(store, state, rules, term_set.decomposition)
@@ -275,14 +413,35 @@ _COMMANDS = {
 }
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cycle collector off, and turn it back on after if it
+    was on.
+
+    A report holds no reference cycle and is freed before the block ends,
+    but with the collector on, each full collection while it is built
+    traverses every container alive: a ``derive`` report holds two per
+    merge, 4M^2 in all at grain M.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     try:
         # read on every call, before parsing; an explicit --seed replaces it
         args = _parser().parse_args(argv, argparse.Namespace(seed=_env_seed()))
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
             raise ParseError(f"--tol must be a finite nonnegative number, got {args.tol}")
-        report, code = _COMMANDS[args.command](args)
-        text = _render(report, args.format)
+        with _collector_paused():
+            report, code = _COMMANDS[args.command](args)
+            text = _render(report, args.format)
+            del report
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

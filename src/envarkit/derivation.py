@@ -60,6 +60,17 @@ objects per batch.  Its trace holds its term sequence and merge record,
 not the store, so no reference cycle keeps a dropped store alive, and a
 trace kept after its store still reads.
 
+A report names terms off the same ids, with no ``ProbTerm`` or
+``MergeRecord`` built (``EqualityStore._by_name``).  The name of structural
+id ``row * 2r + side * r + (k - 1)`` is ``p(X:k; e)`` over the string ``e``
+of the row-th expr, formatted once per listed expr by the one helper
+``ProbTerm.__str__`` also uses; a hand-built set's terms are named by
+``str``.  Every class is rooted at its smallest id, so one stable sort of
+the array form's roots, or one pass over the list form's, lists the
+classes as ``classes()`` does; ``classes()`` groups the terms the same way
+(``_grouped``).  The trace is read off the merge record's two id arrays
+and its per-batch rules and ends (``_Trace._entries``).
+
 Each term set finds its rule edges once: on its first saturation it works
 out its frames, its id map and every merging rule's pairs of store ids, and
 keeps them, so a ``TermSet``'s terms must not change after that.  Each
@@ -85,13 +96,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
-from operator import attrgetter, index
+from itertools import chain, groupby, repeat
+from operator import attrgetter, index, sub
 
 import numpy as np
 
@@ -199,7 +210,12 @@ class ProbTerm:
             raise ParseError(f"subsystem must be 'S' or 'E', got {_shown(self.subsystem, repr)}")
 
     def __str__(self) -> str:
-        return f"p({self.subsystem}:{self.index}; {self.state})"
+        return _term_name(self.subsystem, self.index, self.state)
+
+
+def _term_name(side, k, expr) -> str:
+    """The name ``p(X:k; expr)`` of branch ``k`` on side ``X`` in ``expr``'s state."""
+    return f"p({side}:{k}; {expr})"
 
 
 def _named(term: ProbTerm) -> str:
@@ -210,7 +226,7 @@ def _named(term: ProbTerm) -> str:
                 else replace(t, indices=tuple(map(_shown, t.indices))) if isinstance(t, _KINDS[2:]) else t
                 for t in state.transforms)
         state = replace(state, transforms=tuple(tags))
-    return f"p({term.subsystem}:{_shown(term.index)}; {state})"
+    return _term_name(term.subsystem, _shown(term.index), state)
 
 
 @dataclass(frozen=True)
@@ -358,6 +374,14 @@ class _Terms(_Lazy):
     def _make(self, n: int) -> ProbTerm:
         r = self.rank
         return ProbTerm("SE"[n // r % 2], n % r + 1, self.exprs[n // (2 * r)])
+
+    def _names(self) -> list[str]:
+        """``str`` of every item, in order, with no ``ProbTerm`` built: each listed
+        expr is formatted once and named per side and branch, then each extra
+        term is formatted."""
+        branches = [(x, k) for x in "SE" for k in range(1, self.rank + 1)]
+        names = [_term_name(x, k, expr) for expr in map(str, self.exprs) for x, k in branches]
+        return names + list(map(str, self._extra))
 
     def with_term(self, term: ProbTerm) -> "_Terms":
         """A copy whose last item is ``term``, not yet an item; it shares the row map
@@ -738,6 +762,13 @@ class _Trace(_Lazy):
         rule = self._rules[bisect_right(self._ends, n)]
         return MergeRecord(rule, self._terms[self._lefts[n]], self._terms[self._rights[n]])
 
+    def _entries(self, items: Sequence) -> Iterator[tuple]:
+        """``(rule, items[left], items[right])`` of each merge, in order; with the
+        term sequence as ``items``, the fields of its ``MergeRecord``."""
+        runs = map(sub, self._ends, [0, *self._ends[:-1]])  # merges per batch
+        rules = chain.from_iterable(map(repeat, self._rules, runs))
+        return zip(rules, map(items.__getitem__, self._lefts), map(items.__getitem__, self._rights))
+
 
 class EqualityStore:
     """Union-find over probability terms recording every effective merge.
@@ -777,8 +808,9 @@ class EqualityStore:
     order, with the same roots.  ``_unite`` then records
     those merges in one step for either form: their ids, copied as they come
     when the batch kept every pair, and the batch's rule and end.
-    ``_root_of`` reads one root for either form, and ``find()``,
-    ``same_class()`` and ``classes()`` all go through it.
+    ``_root_of`` reads one root for either form, and ``find()`` and
+    ``same_class()`` go through it; ``classes()`` groups the ids by their
+    roots (``_grouped``).
     """
 
     def __init__(self, terms=()) -> None:
@@ -827,10 +859,32 @@ class EqualityStore:
         return self._root_of(self._id(left)) == self._root_of(self._id(right))
 
     def classes(self) -> list[list[ProbTerm]]:
-        grouped: dict[int, list[ProbTerm]] = {}
-        for node in range(len(self._terms)):
-            grouped.setdefault(self._root_of(node), []).append(self._terms[node])
-        return list(grouped.values())
+        return self._grouped(self._terms)
+
+    def _grouped(self, items: Sequence) -> list[list]:
+        """``items[n]`` of every id ``n``, a list per class, in the order ``classes()`` lists.
+
+        Every class is rooted at its smallest id, so listing the classes in
+        the order of their first ids lists them by root, each with its ids
+        ascending.  The list form groups its ids by root in one pass; the
+        array form sorts its root array once, stably.
+        """
+        parent = self._parent
+        if isinstance(parent, list):
+            grouped: dict[int, list] = {}
+            for n in range(len(parent)):
+                grouped.setdefault(_root(parent, n), []).append(items[n])
+            return list(grouped.values())
+        order = parent.argsort(kind="stable")
+        ends = (np.flatnonzero(np.diff(parent[order])) + 1).tolist()
+        ordered = list(map(items.__getitem__, order.tolist()))
+        return [ordered[a:b] for a, b in zip([0, *ends], [*ends, len(ordered)])] if ordered else []
+
+    def _by_name(self) -> tuple[list[list[str]], Iterator[tuple[str, str, str]]]:
+        """``classes()`` and the trace's ``(rule, left, right)`` with each term as its
+        ``str``, read off the ids: no ``ProbTerm`` or ``MergeRecord`` is built."""
+        names = self._terms._names()
+        return self._grouped(names), self.trace._entries(names)
 
     def minimal_trace(self, left: ProbTerm, right: ProbTerm) -> list[MergeRecord]:
         """Shortest chain of recorded merges connecting two equal terms."""

@@ -58,7 +58,15 @@ class RationalWeights:
 
     @classmethod
     def from_fractions(cls, fracs) -> "RationalWeights":
-        fracs = [Fraction(f) for f in fracs]
+        """The weights ``fracs`` over their least common denominator.  Each is read
+        by ``Fraction``; fractions that are not a sequence, or one that
+        ``Fraction`` refuses, raise ``WeightMismatch``."""
+        fracs = list(_sequence(fracs, "fractions", WeightMismatch))
+        for n, f in enumerate(fracs):
+            try:
+                fracs[n] = Fraction(f)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise WeightMismatch(f"fraction {_shown(f, repr)} is not a rational number") from None
         m = lcm(*(f.denominator for f in fracs)) if fracs else 1
         return cls(tuple(f.numerator * (m // f.denominator) for f in fracs), m)
 
@@ -84,11 +92,15 @@ def rationalize(weights, tol: float = 1e-9, max_den: int = MAX_GRAIN) -> Rationa
     denominator within the bound, reproduce every weight within ``tol``,
     and sum to one, otherwise ``NoRationalFit`` is raised.  Weights that
     are not a sequence of real numbers (``numbers.Real``), such as a string
-    or a list of numeric strings, raise ``WeightMismatch``, and so does a
-    ``tol`` that is not a real number.
+    or a list of numeric strings, raise ``WeightMismatch``, and so do a
+    ``tol`` that is not a real number and a ``max_den`` that is not an int
+    of at least 1.
     """
     ws = [_real(w, "weight", WeightMismatch) for w in _sequence(weights, "weights", WeightMismatch)]
     tol = _real(tol, "tol", WeightMismatch)
+    max_den = _integer(max_den, "max_den", WeightMismatch)
+    if max_den < 1:
+        raise WeightMismatch(f"max_den must be at least 1, got {_shown(max_den)}")
     if not ws or not all(0 < w < float("inf") for w in ws):
         raise WeightMismatch(f"weights must be positive and finite, got {weights}")
     if abs(sum(ws) - 1.0) > tol:

@@ -22,6 +22,9 @@ from .errors import (
     NotUnitary,
     ParseError,
     ZeroState,
+    _integer,
+    _real,
+    _shown,
 )
 
 if TYPE_CHECKING:
@@ -155,7 +158,17 @@ class LocalUnitary:
 
     @classmethod
     def identity(cls, dim: int) -> "LocalUnitary":
-        return cls(np.eye(dim, dtype=complex))
+        """The identity on a factor of dimension ``dim``, an int of at least 1; any
+        other ``dim``, or one of more entries than numpy can size, raises
+        ``DimensionMismatch``."""
+        dim = _integer(dim, "dimension", DimensionMismatch)
+        if dim < 1:
+            raise DimensionMismatch(f"dimension must be at least 1, got {_shown(dim)}")
+        try:
+            mat = np.eye(dim, dtype=complex)
+        except ValueError as exc:  # numpy refuses a size past its index range
+            raise DimensionMismatch(f"dimension {_shown(dim)} is too large") from exc
+        return cls(mat)
 
 
 def make_state(coeffs, normalize: bool = False) -> BipartiteState:
@@ -217,7 +230,9 @@ def equal_up_to_global_phase(
     Returns ``(equal, theta)`` where theta minimizes ``||a - e^(i theta) b||``
     and is reported in ``(-pi, pi]``.  The minimizer is the negated argument
     of the overlap ``<a|b>``; for orthogonal states theta defaults to 0.
+    A ``tol`` that is not a real number raises ``ParseError``.
     """
+    tol = _real(tol, "tol", ParseError)
     if a.amps.shape != b.amps.shape:
         raise DimensionMismatch(f"state shapes differ: {a.amps.shape} vs {b.amps.shape}")
     overlap = complex(np.vdot(a.amps, b.amps))
@@ -260,8 +275,9 @@ def premeasure(state: BipartiteState, decomposition: "SchmidtDecomposition") -> 
 # ---------------------------------------------------------------------------
 
 def _cells(mat: np.ndarray) -> list:
-    """The rows of ``mat`` as lists of ``[re, im]`` float cells."""
-    return [[[float(c.real), float(c.imag)] for c in row] for row in mat]
+    """The rows of ``mat`` as lists of ``[re, im]`` float cells: a C-ordered complex
+    copy read as its float pairs, made into lists in one call."""
+    return np.ascontiguousarray(mat, dtype=complex).view(float).reshape(*mat.shape, 2).tolist()
 
 
 def _rows_json(mat: np.ndarray) -> str:

@@ -11,10 +11,7 @@ values, and small ints and floats.
 The positions are value parameters only.  What ``errors`` declares out of
 contract is not drawn: an object of the wrong type where a state,
 decomposition, unitary, weights, term, expr, tag, term set, store or frame
-is expected, and a flag such as ``normalize`` that is not a bool.  Nor are
-the value parameters no reader reads yet: ``equal_up_to_global_phase``'s
-``tol``, ``rationalize``'s ``max_den``, ``LocalUnitary.identity``'s
-dimension and ``RationalWeights.from_fractions``' fractions.
+is expected, and a flag such as ``normalize`` that is not a bool.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from envarkit import (
     decomposition_from_json,
     degeneracy_blocks,
     equal_branch_derivation,
+    equal_up_to_global_phase,
     fine_grain,
     generate_terms,
     is_even,
@@ -72,6 +70,8 @@ ENTRIES = {
     "make_state": (make_state, (EYE2 * R,), {}, (0,)),
     "BipartiteState": (BipartiteState, (EYE2 * R,), {}, (0,)),
     "LocalUnitary": (LocalUnitary, (EYE2,), {}, (0,)),
+    "LocalUnitary.identity": (LocalUnitary.identity, (2,), {}, (0,)),
+    "equal_up_to_global_phase": (equal_up_to_global_phase, (BELL, BELL, 1e-9), {}, (2,)),
     "state_from_json": (state_from_json, (BELL_JSON,), {}, (0,)),
     "SchmidtDecomposition": (SchmidtDecomposition, (np.array([R, R]), EYE2, EYE2), {}, (0, 1, 2)),
     "decomposition_from_json": (decomposition_from_json, ('{"lambda": [1], "s_vecs": [[[1, 0]]], "e_vecs": [[[1, 0]]]}',), {}, (0,)),
@@ -84,7 +84,8 @@ ENTRIES = {
     "generate_terms": (generate_terms, (BELL, [(1, 2)]), {}, (1,)),
     "RuleSet.without": (RuleSet().without, ("pairing",), {}, (0,)),
     "RationalWeights": (RationalWeights, ((1, 1), 2), {}, (0, 1)),
-    "rationalize": (rationalize, ([0.5, 0.5], 1e-9), {}, (0, 1)),
+    "RationalWeights.from_fractions": (RationalWeights.from_fractions, ([Fraction(1, 2), Fraction(1, 2)],), {}, (0,)),
+    "rationalize": (rationalize, ([0.5, 0.5], 1e-9, 1000), {}, (0, 1, 2)),
     "fine_grain": (fine_grain, (HALVES, 2), {}, (1,)),
     "equal_branch_derivation": (equal_branch_derivation, (2,), {}, (0,)),
     "BasisSample": (BasisSample, (EYE3, 0), {}, (0,)),

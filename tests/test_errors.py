@@ -33,6 +33,7 @@ from envarkit import (
     check_envariance,
     decomposition_from_json,
     degeneracy_blocks,
+    equal_up_to_global_phase,
     fine_grain,
     frame_sum,
     generate_terms,
@@ -167,6 +168,10 @@ CASES = {
     "power-norm-overflow": (NotNormalized, lambda: PowerOverlapFrame(np.array([1e300, 0.0]), 2.0)),
     "basis-gram-overflow": (NonOrthonormalBasis, lambda: swap_transform(1, 2, [[1e300, 0], [0, 1]])),
     "decomposition-complex-lambda": (ParseError, decomposition(np.array([R, R], dtype=complex))),
+    "rationalize-string-max-den": (WeightMismatch, lambda: rationalize([0.5, 0.5], 1e-9, "x")),
+    "global-phase-string-tol": (ParseError, lambda: equal_up_to_global_phase(BELL, BELL, "x")),
+    "identity-negative-dim": (DimensionMismatch, lambda: LocalUnitary.identity(-1)),
+    "weights-from-none-fractions": (WeightMismatch, lambda: RationalWeights.from_fractions(None)),
 }
 
 
